@@ -31,10 +31,7 @@ Both files must declare the schema-2 layout (``{"schema": 2,
 incomparable numbers.
 
 Schema-2 context fields: alongside the timings, records may carry
-search-configuration context — ``kernel``, ``batch_width`` (candidate
-capacities per speculative probe block), and
-``probe_worker_utilisation`` (fraction of speculative probe verdicts
-the bisection actually consumed; 1.0 on serial searches).  Sharded
+search-configuration context — ``kernel``.  Sharded
 records add ``pods`` (resolved pod count), ``pod_assign`` (job
 splitter policy), ``pod_solve_ms_max`` (the slowest single pod — the
 critical path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the

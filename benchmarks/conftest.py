@@ -74,7 +74,7 @@ def pytest_sessionfinish(session, exitstatus):
     payload["machine"] = platform.machine()
     payload["numpy"] = numpy.__version__
     # The CPUs this process may actually run on (cgroup/affinity-aware),
-    # not the machine's nominal core count — probe-worker sizing uses
+    # not the machine's nominal core count — pod-pool sizing uses
     # the same detector, so the recorded numbers are interpretable on
     # throttled CI runners.
     from repro.core.capacity import available_cpus

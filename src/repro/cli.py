@@ -89,32 +89,6 @@ _SCHEDULERS = {
 }
 
 
-def _batch_width(text: str):
-    """``--batch-width`` value: 'auto' or a positive int."""
-    if text == "auto":
-        return text
-    try:
-        width = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
-        ) from None
-    if width < 1:
-        raise argparse.ArgumentTypeError("batch width must be >= 1")
-    return width
-
-
-def _shared_mem(text: str):
-    """``--shared-mem`` value: 'auto', 'on', or 'off'."""
-    if text == "auto":
-        return text
-    if text in ("on", "off"):
-        return text == "on"
-    raise argparse.ArgumentTypeError(
-        f"expected 'auto', 'on', or 'off', got {text!r}"
-    )
-
-
 def _pods(text: str):
     """``--pods`` value: 'auto' or a positive int."""
     if text == "auto":
@@ -145,29 +119,6 @@ def _add_pod_arguments(parser) -> None:
         help="job-to-pod splitter: LP-guided ('lp'), longest-"
         "processing-time greedy ('greedy', default), or stable "
         "hashing ('hash'); ignored without --pods",
-    )
-
-
-def _add_probe_arguments(parser) -> None:
-    """Speculative-probe knobs shared by ``schedule`` and ``simulate``."""
-    parser.add_argument(
-        "--probe-workers", type=int, metavar="N",
-        help="probe candidate capacities speculatively on N worker "
-        "processes (greedy scheduler only; schedules are identical to "
-        "the serial search)",
-    )
-    parser.add_argument(
-        "--batch-width", type=_batch_width, default="auto", metavar="K",
-        help="candidate capacities probed per speculative block "
-        "('auto' sizes the block from the worker pool; ignored without "
-        "--probe-workers)",
-    )
-    parser.add_argument(
-        "--shared-mem", type=_shared_mem, default="auto",
-        metavar="auto|on|off",
-        help="publish the dense cost matrix to probe workers through "
-        "POSIX shared memory instead of pickling it per worker "
-        "(default auto: on whenever the pool is active)",
     )
 
 
@@ -214,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "only; both produce byte-identical schedules, 'auto' picks by "
         "instance size)",
     )
-    _add_probe_arguments(schedule)
     _add_pod_arguments(schedule)
     schedule.add_argument("--output", help="write the schedule as JSON here")
 
@@ -271,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "only; both produce byte-identical schedules, 'auto' picks by "
         "instance size)",
     )
-    _add_probe_arguments(simulate)
     _add_pod_arguments(simulate)
     simulate.add_argument("--output", help="write the run summary JSON here")
     simulate.add_argument(
@@ -452,13 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep per-scenario snapshot stores under DIR "
         "(--crash-restore only; default: a temporary directory)",
     )
-    fuzz.add_argument(
-        "--probe-workers", type=int, metavar="N",
-        help="run every drill leg through the speculative probe pool "
-        "(--crash-restore only): digests are unchanged, and the "
-        "campaign additionally asserts no cwc-probe-* shared-memory "
-        "segment survives the killed runs",
-    )
     fuzz.add_argument("--output", help="write the campaign report JSON here")
 
     tournament = sub.add_parser(
@@ -563,19 +505,10 @@ def _cmd_schedule(args) -> int:
             from .core.sharding import ShardedScheduler
 
             scheduler = ShardedScheduler(
-                pods=args.pods,
-                pod_assign=args.pod_assign,
-                pod_workers=args.probe_workers or "auto",
-                kernel=args.kernel,
-                shared_mem=args.shared_mem,
+                pods=args.pods, pod_assign=args.pod_assign, kernel=args.kernel
             )
         else:
-            scheduler = scheduler_cls(
-                kernel=args.kernel,
-                probe_workers=args.probe_workers,
-                batch_width=args.batch_width,
-                shared_mem=args.shared_mem,
-            )
+            scheduler = scheduler_cls(kernel=args.kernel)
     else:
         if args.pods is not None:
             print(
@@ -642,14 +575,10 @@ def _cmd_simulate_campaign(args) -> int:
         arrival_rate_per_hour=args.arrival_rate,
         churn=churn,
         kernel=args.kernel,
-        probe_workers=args.probe_workers,
-        batch_width=args.batch_width,
-        shared_mem=args.shared_mem,
         warm_start=True,
         checkpoint_dir=args.checkpoint_dir,
         pods=args.pods,
         pod_assign=args.pod_assign,
-        pod_workers=args.probe_workers or "auto",
     )
 
     class _Killed(RuntimeError):
@@ -785,19 +714,14 @@ def _cmd_simulate(args) -> int:
             scheduler = ShardedScheduler(
                 pods=args.pods,
                 pod_assign=args.pod_assign,
-                pod_workers=args.probe_workers or "auto",
                 warm_start=args.warm_start,
                 kernel=args.kernel,
-                shared_mem=args.shared_mem,
                 telemetry=telemetry,
             )
         else:
             scheduler = scheduler_cls(
                 warm_start=args.warm_start,
                 kernel=args.kernel,
-                probe_workers=args.probe_workers,
-                batch_width=args.batch_width,
-                shared_mem=args.shared_mem,
                 telemetry=telemetry,
             )
     else:
@@ -1108,7 +1032,6 @@ def _cmd_fuzz(args) -> int:
             args.runs,
             seed=args.seed,
             store_root=args.store_root,
-            probe_workers=args.probe_workers,
         )
         print(
             f"crash/restore-drilled {report.runs} scenarios from seed "
@@ -1117,12 +1040,6 @@ def _cmd_fuzz(args) -> int:
             f"{len(report.failures)} failing"
         )
         print(f"campaign digest: {report.campaign_digest}")
-        if report.leaked_shm:
-            print(
-                "leaked shared-memory segments: "
-                + ", ".join(report.leaked_shm),
-                file=sys.stderr,
-            )
         for outcome in report.failures:
             print(
                 f"  seed {outcome.seed} (killed at instant "
@@ -1144,7 +1061,6 @@ def _cmd_fuzz(args) -> int:
                 "campaign_digest": report.campaign_digest,
                 "kills": report.kills,
                 "cold_restarts": report.cold_restarts,
-                "leaked_shm": list(report.leaked_shm),
                 "failures": [
                     {
                         "seed": outcome.seed,

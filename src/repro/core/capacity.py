@@ -63,31 +63,16 @@ to the naive pack-every-probe search:
   bracket update would discard.  The winning capacity is materialised
   with one collecting pack at the end (so ``packer_passes`` can exceed
   ``bisection_steps`` by one on such instances);
-* **batched multi-candidate probes (subtree speculation)** — with
-  ``probe_workers >= 2`` a process pool evaluates a *block* of up to
-  ``batch_width`` candidate capacities concurrently: the possible
-  future midpoints of the frozen bisection tree under the current
-  bracket, expanded breadth-first and pruned wherever a certificate
-  already decides a node's verdict.  One block round-trip therefore
-  resolves several bisection *levels* at once — the bracket shrinks by
-  ``~log2(batch_width + 1)`` levels per pack wall-time instead of one.
-  Every candidate is an exact grid midpoint packed for real by the
-  same kernel, so the trajectory is byte-identical to the serial
-  search *by construction*.  (An earlier design probed off-grid
-  "ladder" capacities and resolved grid midpoints by monotonicity;
-  fuzzing found real instances where greedy feasibility is **not**
-  monotone in capacity — feasible islands below the converged
-  threshold — so any assumption that transfers an off-grid verdict
-  onto the grid can silently change the schedule.  Only warm hints,
-  which replay the very capacity a previous search converged to, are
-  exempt: see below.)  Block candidates whose branch the bracket
-  abandons are counted in ``speculative_packs`` and discarded;
 * **warm-started probes** — at a rescheduling instant the previous
   instant's feasible capacity is a strong hint.  ``run(..,
   warm_hint_ms=C1)`` verifies the hint with one real pack; if it is
   feasible, every probe at ``mid >= C1`` is *assumed* feasible without
-  packing.  This is not a monotonicity claim (greedy feasibility is
-  not monotone — see above): within any one bisection run every
+  packing.  This is not a monotonicity claim: greedy feasibility is
+  **not** monotone in capacity — fuzzing found real instances with
+  feasible islands below the converged threshold (fuzz seed
+  3504320067 packs at 92 000 ms, fails at 92 500 ms and packs again
+  at 93 500 ms) — so no verdict at one capacity may be transferred to
+  another by assumption.  But within any one bisection run every
   infeasible midpoint lies strictly below every feasible one, so when
   ``C1`` is the capacity a search over the *same grid* converged to,
   the assumption exactly replays that search's verdicts.  A hint from
@@ -95,7 +80,7 @@ to the naive pack-every-probe search:
   converged capacity is always re-materialised with a real pack; if
   that pack ever fails, the search falls back to a full cold run with
   every assumption-based shortcut disabled, which is unconditionally
-  correct.
+  correct (counted in ``cold_reruns``).
 
 ``iterations`` (and its alias ``packer_passes``) counts *real* packs,
 preserving the historical meaning; ``bisection_steps`` counts bracket
@@ -107,12 +92,12 @@ implementation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
-from ..obs.tracing import Tracer, maybe_span
+from ..obs.tracing import maybe_span
 from .arraypool import ArrayPool
 from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB
@@ -125,7 +110,6 @@ __all__ = [
     "CapacitySearchResult",
     "available_cpus",
     "capacity_bounds",
-    "resolve_batch_width",
     "resolve_kernel",
 ]
 
@@ -146,10 +130,6 @@ _AUTO_KERNEL_MIN_CELLS = 250_000
 #: skipping per-probe schedule accumulation outweighs the one extra
 #: materialisation pack.
 _DEFER_MIN_CELLS = 500_000
-
-#: ``batch_width='auto'``: candidate capacities per speculative block
-#: (7 = a full 3-level subtree of future midpoints).
-_DEFAULT_BATCH_WIDTH = 7
 
 _KERNELS = ("auto", "python", "numpy")
 
@@ -195,24 +175,6 @@ def available_cpus() -> int:
         if counted:
             return counted
     return os.cpu_count() or 1
-
-
-def resolve_batch_width(batch_width) -> int:
-    """Resolve a ``batch_width`` selector to a concrete block size.
-
-    ``None``/``'auto'`` pick the default; ``0`` disables subtree
-    speculation (falling back to plain next-midpoint prefetch);
-    positive integers cap the number of candidate capacities in
-    flight per speculative block.  Serial searches ignore the knob.
-    """
-    if batch_width is None or batch_width == "auto":
-        return _DEFAULT_BATCH_WIDTH
-    width = int(batch_width)
-    if width < 0 or (not isinstance(batch_width, int) and batch_width != width):
-        raise ValueError(
-            f"batch_width must be 'auto' or an integer >= 0, got {batch_width!r}"
-        )
-    return width
 
 
 def capacity_bounds(instance: SchedulingInstance) -> tuple[float, float]:
@@ -419,105 +381,10 @@ class CapacitySearchResult:
     warm_start_used: bool = False
     #: Packing backend the probes ran on ("python" or "numpy").
     kernel: str = "python"
-    #: Speculative probes submitted to the worker pool whose verdicts
-    #: the bracket never consumed.
-    speculative_packs: int = 0
-    #: Resolved speculative-block size (0 disables subtree expansion).
-    batch_width: int = 0
-    #: Fraction of pool-submitted probes whose verdicts the search
-    #: consumed (1.0 for serial searches — every pack is consumed).
-    probe_worker_utilisation: float = 1.0
-    #: Wall ms the bisection spent blocked on pool verdicts.  Tracing
-    #: diagnostic: 0.0 unless the telemetry facade armed a tracer.
-    probe_wait_ms: float = 0.0
-    #: Wall ms probe workers spent inside consumed packs.  Tracing
-    #: diagnostic: 0.0 unless the telemetry facade armed a tracer.
-    #: ``probe_wait_ms - probe_exec_ms`` is pool queueing/dispatch
-    #: overhead — together with ``probe_worker_utilisation`` it says
-    #: where a pooled search's wall-clock went.
-    probe_exec_ms: float = 0.0
-
-
-def _shared_probe_payload(instance, shared):
-    """Worker-init payload: shm spec + slim tables, or the instance.
-
-    With a :class:`~repro.core.shm.SharedMatrix` published, workers
-    receive everything *except* the cost matrix (jobs, phones, the b
-    table — kilobytes) plus the segment spec, and rebuild the instance
-    against the mapped pages.  Without one, the instance itself is the
-    payload (inherited by fork).
-    """
-    if shared is None:
-        return ("inline", instance)
-    return (
-        "shm",
-        shared.spec,
-        instance.jobs,
-        instance.phones,
-        dict(instance.b_ms_per_kb),
-    )
-
-
-def _rebuild_probe_instance(payload):
-    """Worker side of :func:`_shared_probe_payload`."""
-    if payload[0] == "inline":
-        return payload[1]
-    global _WORKER_SEGMENT
-    from .instance import _DenseCostMap
-    from .shm import attach_matrix
-
-    _, spec, jobs, phones, b_table = payload
-    _WORKER_SEGMENT, mat = attach_matrix(spec)
-    dense = _DenseCostMap(
-        tuple(phone.phone_id for phone in phones),
-        tuple(job.job_id for job in jobs),
-        mat,
-    )
-    return SchedulingInstance(
-        jobs=jobs, phones=phones, b_ms_per_kb=b_table, c_ms_per_kb=dense
-    )
-
-
-#: Worker-side tracer; None keeps the untraced probe payload (a bare
-#: bool) byte-identical to the historical protocol.
-_WORKER_TRACER = None
-
-
-def _speculative_worker_init(payload, packer_kwargs, kernel, trace_run_id=None):
-    """Build one packer per worker process (runs in the child)."""
-    global _WORKER_PACKER, _WORKER_TRACER
-    instance = _rebuild_probe_instance(payload)
-    _WORKER_PACKER = _KERNEL_CLASSES[kernel](instance, **packer_kwargs)
-    if trace_run_id is not None:
-        _WORKER_TRACER = Tracer(
-            trace_run_id, process=f"probe-workers/pid-{os.getpid()}"
-        )
-    else:
-        _WORKER_TRACER = None
-
-
-def _speculative_worker_probe(capacity_ms: float):
-    """Verdict-only pack in a worker process.
-
-    Returns a bare bool normally; with tracing armed the payload is
-    ``(bool, span_dicts)`` — the worker's ``probe_pack`` span rides
-    back to the parent for adoption.
-    """
-    packer = _WORKER_PACKER
-    tracer = _WORKER_TRACER
-    if tracer is None:
-        if isinstance(packer, VectorGreedyPacker):
-            return packer.pack(capacity_ms, collect=False).feasible
-        return packer.pack(capacity_ms).feasible
-    with tracer.span(
-        "probe_pack", category="capacity", capacity_ms=capacity_ms
-    ) as handle:
-        if isinstance(packer, VectorGreedyPacker):
-            feasible = packer.pack(capacity_ms, collect=False).feasible
-        else:
-            feasible = packer.pack(capacity_ms).feasible
-        handle.set_attr("feasible", feasible)
-    return feasible, tracer.drain_dicts()
+    #: Full cold reruns after a trusted search's final materialise pack
+    #: failed (the ``_trusted=False`` fallback; 0 unless an assumption
+    #: misfired).
+    cold_reruns: int = 0
 
 
 class CapacitySearch:
@@ -535,26 +402,6 @@ class CapacitySearch:
         Packing backend for the probes: ``'python'`` (exact scalar
         reference), ``'numpy'`` (vectorized, byte-identical), or
         ``'auto'`` (pick by instance size).
-    probe_workers:
-        When >= 2, probe capacities speculatively on a process pool of
-        this size; the serial search (the default) walks the identical
-        trajectory.  ``'auto'`` sizes the pool from
-        :func:`available_cpus` (and stays serial on single-CPU hosts).
-    batch_width:
-        Size of the speculative block for the batched multi-candidate
-        search (see the module docstring): up to this many future grid
-        midpoints are packed concurrently per block.  ``'auto'``
-        (default) picks ``_DEFAULT_BATCH_WIDTH``; ``0`` falls back to
-        prefetching only the two immediate next midpoints.  Serial
-        searches ignore the knob.  Schedules are byte-identical either
-        way.
-    shared_mem:
-        Publish the dense cost matrix to probe workers through
-        ``multiprocessing.shared_memory`` (see :mod:`repro.core.shm`)
-        instead of shipping it in the worker payload.  ``'auto'``
-        (default) turns it on whenever a worker pool is in use;
-        ``False`` forces the inline payload.  No effect on serial
-        searches.
     lp_floor:
         Additionally certify infeasible midpoints against the LP
         relaxation of :mod:`repro.core.lp_bound`.  Off by default: the
@@ -562,7 +409,7 @@ class CapacitySearch:
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
         search records only registry metrics (probe outcomes, bisection
-        steps, certificate skips, speculative hit/miss, kernel choice)
+        steps, certificate skips, cold reruns, kernel choice)
         — it has no simulation clock, so it never emits bus events.
         Every recording site is guarded by the enabled flag, keeping
         the disabled hot path identical to the un-instrumented one.
@@ -576,9 +423,6 @@ class CapacitySearch:
         min_partition_kb: float | None = None,
         ram=None,
         kernel: str = "auto",
-        probe_workers: int | str | None = None,
-        batch_width: int | str | None = "auto",
-        shared_mem: bool | str = "auto",
         lp_floor: bool = False,
         telemetry=None,
     ) -> None:
@@ -590,23 +434,12 @@ class CapacitySearch:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
             )
-        if probe_workers is not None and probe_workers != "auto" and (
-            probe_workers < 1
-        ):
-            raise ValueError("probe_workers must be >= 1 or 'auto'")
         self._epsilon_ms = epsilon_ms
         self._max_iterations = max_iterations
         self._min_partition_kb = min_partition_kb
         #: Optional RamConstraint applied inside the packer (footnote 4).
         self._ram = ram
         self._kernel = kernel
-        self._probe_workers = probe_workers
-        self._batch_width = resolve_batch_width(batch_width)
-        if shared_mem not in ("auto", True, False):
-            raise ValueError(
-                f"shared_mem must be 'auto', True, or False, got {shared_mem!r}"
-            )
-        self._shared_mem = shared_mem
         self._lp_floor = lp_floor
         #: Cross-round buffer recycler for the numpy kernel's dense
         #: mirrors; lives as long as the search object, so a scheduler
@@ -635,9 +468,9 @@ class CapacitySearch:
         schedule is identical to the cold search's either way.
 
         ``_trusted=False`` is the internal paranoid mode used when an
-        assumption-based shortcut is caught misbehaving: every oracle
-        that relies on monotonicity or a derived certificate is
-        disabled and each probe is packed for real.
+        assumption-based shortcut is caught misbehaving: the warm-hint
+        replay oracle and every derived certificate are disabled and
+        each probe is packed for real.
         """
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
@@ -657,7 +490,6 @@ class CapacitySearch:
                 warm_hint_ms=warm_hint_ms,
                 _trusted=_trusted,
                 _tracer=tracer,
-                _root=root,
             )
             root.set_attr("capacity_ms", result.capacity_ms)
             root.set_attr("kernel", result.kernel)
@@ -671,21 +503,18 @@ class CapacitySearch:
         warm_hint_ms: float | None = None,
         _trusted: bool = True,
         _tracer=None,
-        _root=None,
     ) -> CapacitySearchResult:
         tracer = _tracer
         packer_kwargs = {"ram": self._ram}
         if self._min_partition_kb is not None:
             packer_kwargs["min_partition_kb"] = self._min_partition_kb
         kernel = resolve_kernel(self._kernel, instance)
-        local_kwargs = dict(packer_kwargs)
         if kernel == "numpy":
-            # The owner-side packer draws its dense mirrors from the
-            # search's cross-round pool; worker-side packers (built
-            # from ``packer_kwargs``) allocate their own.
-            local_kwargs["array_pool"] = self._array_pool
+            # The packer draws its dense mirrors from the search's
+            # cross-round pool.
+            packer_kwargs["array_pool"] = self._array_pool
         with maybe_span(tracer, "build", category="capacity", kernel=kernel):
-            packer = _KERNEL_CLASSES[kernel](instance, **local_kwargs)
+            packer = _KERNEL_CLASSES[kernel](instance, **packer_kwargs)
         cells = len(instance.phones) * len(instance.jobs)
         defer = (
             _trusted and kernel == "numpy" and cells >= _DEFER_MIN_CELLS
@@ -728,152 +557,21 @@ class CapacitySearch:
         steps = 0
         skips = 0
         assumed = 0
-        speculated = 0
-        pool_submitted = 0
-        probe_wait_ms = 0.0
-        probe_exec_ms = 0.0
-        batch_width = self._batch_width
-
-        # -- speculative probe pool ----------------------------------------
-        pool = None
-        shared = None
-        pending: dict[float, object] = {}
-        workers = self._probe_workers
-        if workers == "auto":
-            cpus = available_cpus()
-            workers = cpus if cpus >= 2 else None
-        if workers is not None and workers >= 2:
-            with maybe_span(
-                tracer, "pool_init", category="capacity", workers=workers
-            ):
-                try:
-                    import multiprocessing
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    if self._shared_mem in ("auto", True):
-                        try:
-                            from .shm import SharedMatrix
-
-                            shared = SharedMatrix(instance.c_matrix())
-                        except Exception:
-                            shared = None  # inline payload fallback
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=multiprocessing.get_context("fork"),
-                        initializer=_speculative_worker_init,
-                        initargs=(
-                            _shared_probe_payload(instance, shared),
-                            packer_kwargs,
-                            kernel,
-                            tracer.run_id if tracer is not None else None,
-                        ),
-                    )
-                except Exception:
-                    pool = None  # serial fallback, identical trajectory
-                    if shared is not None:
-                        shared.close_and_unlink()
-                        shared = None
-
         #: Lowest capacity *verified* feasible by a real pack at a warm
         #: hint — the replay oracle that resolves grid midpoints above
         #: it for free.  Only hints may feed it (see the module
         #: docstring): greedy feasibility is not monotone, so a
-        #: speculative verdict at one capacity proves nothing about
-        #: any other.
+        #: verdict at one capacity proves nothing about any other.
         feas_at: float | None = None
-
-        def submit(cap: float):
-            nonlocal pool_submitted
-            pool_submitted += 1
-            return pool.submit(_speculative_worker_probe, cap)
-
-        def prefetch_frontier(lo: float, hi: float) -> None:
-            """Submit the block of possible future grid midpoints.
-
-            Expands the frozen bisection tree under the current bracket
-            breadth-first: a node whose verdict a certificate or the
-            warm-hint oracle already decides contributes only its
-            surviving half, an undecided node is submitted to the pool
-            and both halves stay on the frontier (either could be the
-            real trajectory).  At most ``batch_width`` candidates are
-            kept in flight, so one block round-trip resolves up to
-            ``log2(batch_width + 1)`` bisection levels.
-            """
-            if pool is None:
-                return
-            nonlocal speculated
-            # Candidates the bracket has moved past can never be
-            # consumed; retire them so they stop eating the budget.
-            for cap in [c for c in pending if not (lo < c < hi)]:
-                pending.pop(cap).cancel()
-                speculated += 1
-            # width 0 degrades to the legacy 2-ahead prefetch: the
-            # current midpoint plus its two possible successors.
-            budget = batch_width if batch_width >= 1 else 3
-            frontier = [(lo, hi)]
-            while frontier and len(pending) < budget:
-                node_lo, node_hi = frontier.pop(0)
-                if node_hi - node_lo <= self._epsilon_ms:
-                    continue
-                mid = (node_lo + node_hi) / 2.0
-                if provably_infeasible(mid):
-                    frontier.append((mid, node_hi))
-                    continue
-                if provably_feasible(mid) or (
-                    feas_at is not None and mid >= feas_at
-                ):
-                    frontier.append((node_lo, mid))
-                    continue
-                if mid not in pending:
-                    pending[mid] = submit(mid)
-                frontier.append((node_lo, mid))
-                frontier.append((mid, node_hi))
 
         tel = self._tel
 
         def probe_feasible(
             cap: float, *, collect: bool = False
         ) -> tuple[bool, PackingResult | None]:
-            """Real-pack verdict for ``cap`` (pool or local)."""
-            nonlocal packs, probe_wait_ms, probe_exec_ms
+            """Real-pack verdict for ``cap``."""
+            nonlocal packs
             packs += 1
-            if pool is not None:
-                future = pending.pop(cap, None)
-                speculative_hit = future is not None
-                if future is None:
-                    future = submit(cap)
-                if tracer is not None:
-                    # Worker protocol is (verdict, spans) with tracing
-                    # armed; the probe_wait span measures how long the
-                    # bisection blocked, the adopted probe_pack spans
-                    # (one per consumed verdict, parented on the search
-                    # root so speculative work that ran *before* this
-                    # wait keeps honest timestamps) measure worker
-                    # execution.  wait − exec = queueing/dispatch.
-                    wait = tracer.start(
-                        "probe_wait",
-                        category="capacity",
-                        capacity_ms=cap,
-                        speculative_hit=speculative_hit,
-                    )
-                    verdict, worker_spans = future.result()
-                    feasible = bool(verdict)
-                    adopted = tracer.adopt(worker_spans, parent=_root)
-                    wait_span = tracer.end(wait, feasible=feasible)
-                    probe_wait_ms += wait_span.wall_ms
-                    probe_exec_ms += sum(s.wall_ms for s in adopted)
-                else:
-                    feasible = bool(future.result())
-                if tel.enabled:
-                    tel.inc(
-                        "capacity_speculative_probes_total",
-                        outcome="hit" if speculative_hit else "miss",
-                    )
-                    tel.inc(
-                        "capacity_probes_total",
-                        outcome="feasible" if feasible else "infeasible",
-                    )
-                return feasible, None
             if tracer is not None:
                 with tracer.span(
                     "pack", category="capacity", capacity_ms=cap
@@ -929,8 +627,7 @@ class CapacitySearch:
             if provably_feasible(seed_capacity):
                 skips += 1
             elif feas_at is not None and seed_capacity >= feas_at:
-                # Monotonicity: feasible at the verified capacity =>
-                # feasible at the seed.
+                # Replay oracle: the seed lies above the verified hint.
                 assumed += 1
             else:
                 feasible, attempt = probe_feasible(seed_capacity)
@@ -941,7 +638,7 @@ class CapacitySearch:
                         "malformed or an atomic job violates a resource "
                         "constraint on every phone"
                     )
-                best = attempt  # None under a pool: materialised below
+                best = attempt
 
             # -- bisection on the cold midpoint grid -----------------------
             while (
@@ -973,12 +670,6 @@ class CapacitySearch:
                         best = None  # assumed; materialised below if final
                         best_capacity = mid
                         continue
-                    # Keep a block of possible future midpoints in flight
-                    # (this one included) while verdicts resolve.
-                    with maybe_span(
-                        tracer, "probe_dispatch", category="capacity"
-                    ):
-                        prefetch_frontier(lower, upper)
                     # Once the bracket is within a step or two of
                     # epsilon, a feasible verdict is likely final:
                     # collect its schedule so no separate
@@ -1015,13 +706,13 @@ class CapacitySearch:
                         # assumed and redo the search cold with every
                         # shortcut disabled, which is unconditionally
                         # correct.
-                        return self.run(instance, _trusted=False)
+                        if tel.enabled:
+                            tel.inc("capacity_cold_reruns_total")
+                        rerun = self.run(instance, _trusted=False)
+                        return replace(
+                            rerun, cold_reruns=rerun.cold_reruns + 1
+                        )
         finally:
-            if pool is not None:
-                speculated += len(pending)
-                pool.shutdown(wait=False, cancel_futures=True)
-            if shared is not None:
-                shared.close_and_unlink()
             if kernel == "numpy":
                 # Hand the dense mirrors back for the next round; the
                 # surviving results only reference builder-made
@@ -1029,17 +720,11 @@ class CapacitySearch:
                 packer.release_buffers()
 
         assert best.schedule is not None
-        utilisation = (
-            1.0
-            if pool_submitted == 0
-            else (pool_submitted - speculated) / pool_submitted
-        )
         if tel.enabled:
             tel.inc("capacity_searches_total", kernel=kernel)
             tel.inc("capacity_bisection_steps_total", float(steps))
             tel.inc("capacity_shortcircuit_skips_total", float(skips))
             tel.inc("capacity_assumed_feasible_total", float(assumed))
-            tel.inc("capacity_speculative_unused_total", float(speculated))
             if warm_used:
                 tel.inc("capacity_warm_start_hits_total")
             tel.observe("capacity_packs_per_search", float(packs))
@@ -1057,9 +742,4 @@ class CapacitySearch:
             assumed_feasible=assumed,
             warm_start_used=warm_used,
             kernel=kernel,
-            speculative_packs=speculated,
-            batch_width=batch_width,
-            probe_worker_utilisation=utilisation,
-            probe_wait_ms=probe_wait_ms,
-            probe_exec_ms=probe_exec_ms,
         )

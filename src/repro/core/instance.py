@@ -23,9 +23,9 @@ matrix (Equation 1), its transpose, the row lists the scalar packer
 reads, the capacity bracket — is computed lazily from it with exactly
 the same floating-point operation order as the original dict-chain code.
 Schedulers built on these caches therefore produce byte-identical
-schedules (see ``tests/core/test_golden_schedule.py``); the matrix also
-travels through :mod:`repro.core.shm` to probe workers without pickling
-the cost table element by element.
+schedules (see ``tests/core/test_golden_schedule.py``); pod workers
+inherit the matrix from a ``fork`` pool instead of unpickling the cost
+table element by element.
 """
 
 from __future__ import annotations

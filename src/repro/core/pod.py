@@ -19,14 +19,12 @@ capacity-search machinery.  This module owns the mechanical pieces:
   :class:`PodSolveReport` whose assignments the parent reassembles
   into the global schedule.
 
-Workers reuse the shared-memory cost-matrix plane of
-:mod:`repro.core.shm` (the worker attaches the *full* matrix read-only
-and slices its pod's rows per task), and each worker keeps one
+Workers inherit the *full* instance from a ``fork`` pool copy-on-write
+(and slice their pod's rows per task), and each worker keeps one
 long-lived :class:`~repro.core.capacity.CapacitySearch` so its
 :class:`~repro.core.arraypool.ArrayPool` recycles packer buffers
 across the pods it solves.  After every pod solve the pool must be
-clean — :meth:`ArrayPool.leaked_buffers` is asserted zero, mirroring
-:func:`repro.core.shm.leaked_segments`.
+clean — :meth:`ArrayPool.leaked_buffers` is asserted zero.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ class PodSolveReport:
     shortcircuit_skips: int
     assumed_feasible: int
     warm_start_used: bool
-    speculative_packs: int
     kernel: str
     wall_ms: float
     leaked_buffers: int
@@ -301,7 +298,6 @@ def solve_pod(
         shortcircuit_skips=result.shortcircuit_skips,
         assumed_feasible=result.assumed_feasible,
         warm_start_used=result.warm_start_used,
-        speculative_packs=result.speculative_packs,
         kernel=result.kernel,
         wall_ms=wall_ms,
         leaked_buffers=leaked,
@@ -326,28 +322,27 @@ def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
 
 # -- process-pool hooks ---------------------------------------------------
 #
-# The parent publishes the *full* instance once per round — through a
-# shared-memory segment when available (see ``_shared_probe_payload``
-# in :mod:`repro.core.capacity`) — and ships each pod as a few integer
-# tuples.  Workers rebuild the instance against the mapped pages at
-# init, then slice their pod's rectangle per task.
+# The parent hands the *full* instance to a ``fork`` pool once per round
+# — the workers inherit it copy-on-write, so nothing is pickled — and
+# ships each pod as a few integer tuples.  Workers slice their pod's
+# rectangle per task.
 
 _POD_INSTANCE: SchedulingInstance | None = None
 _POD_SEARCH: CapacitySearch | None = None
 _POD_TRACER: Tracer | None = None
 
 
-def _pod_worker_init(payload, search_kwargs: dict, trace_run_id=None) -> None:
-    """Build the worker's instance view and long-lived search.
+def _pod_worker_init(
+    instance: SchedulingInstance, search_kwargs: dict, trace_run_id=None
+) -> None:
+    """Keep the inherited instance and build the long-lived search.
 
     ``trace_run_id`` (non-None iff the parent armed tracing) gives the
     worker its own telemetry facade with a tracer; each solve's spans
     ride back on :attr:`PodSolveReport.spans` for parent adoption.
     """
     global _POD_INSTANCE, _POD_SEARCH, _POD_TRACER
-    from .capacity import _rebuild_probe_instance
-
-    _POD_INSTANCE = _rebuild_probe_instance(payload)
+    _POD_INSTANCE = instance
     telemetry = None
     if trace_run_id is not None:
         from ..obs.telemetry import Telemetry

@@ -76,7 +76,7 @@ def self_time_table(spans, *, clock: str = "wall") -> list[ProfileRow]:
     """Aggregate spans by (name, category), sorted by self time desc.
 
     Self time never goes negative even when siblings overlap (the
-    probe pool runs children concurrently, so their summed duration
+    pod pool runs children concurrently, so their summed duration
     can exceed the parent's): it is floored at zero per span.
     """
     spans = list(spans)

@@ -514,9 +514,6 @@ class ContinuousCampaign:
         online_fraction: float = 0.9,
         rejoin_probability: float = 0.35,
         kernel: str = "auto",
-        probe_workers: int | None = None,
-        batch_width: int | str = "auto",
-        shared_mem: bool | str = "auto",
         warm_start: bool = True,
         pods: int | str | None = None,
         pod_assign: str = "greedy",
@@ -575,22 +572,13 @@ class ContinuousCampaign:
         if pods is None:
             if policy == "cwc-greedy":
                 self._scheduler = CwcScheduler(
-                    kernel=kernel,
-                    probe_workers=probe_workers,
-                    batch_width=batch_width,
-                    shared_mem=shared_mem,
-                    warm_start=warm_start,
+                    kernel=kernel, warm_start=warm_start
                 )
             else:
                 from ..core.policies import make_policy
 
                 self._scheduler = make_policy(
-                    policy,
-                    kernel=kernel,
-                    probe_workers=probe_workers,
-                    batch_width=batch_width,
-                    shared_mem=shared_mem,
-                    warm_start=warm_start,
+                    policy, kernel=kernel, warm_start=warm_start
                 )
         elif policy != "cwc-greedy":
             raise ValueError(
@@ -598,14 +586,11 @@ class ContinuousCampaign:
                 f"'cwc-greedy' policy, got {policy!r}"
             )
         else:
-            # Sharded nights: the parallelism budget goes to pods, so
-            # the per-pod searches probe serially.
             self._scheduler = ShardedScheduler(
                 pods=pods,
                 pod_assign=pod_assign,
                 pod_workers=pod_workers,
                 kernel=kernel,
-                shared_mem=shared_mem,
                 warm_start=warm_start,
             )
         # A dozen deterministic job prototypes (cycled with fresh ids);

@@ -104,20 +104,6 @@ class RoundRecord:
     #: Packing backend the capacity search resolved to ("" for
     #: schedulers that expose no diagnostics).
     kernel: str = ""
-    #: Candidate-block width the capacity search resolved to (1 for
-    #: serial probing or schedulers that expose no diagnostics).
-    batch_width: int = 1
-    #: Fraction of speculative probe verdicts the bisection consumed.
-    #: 1.0 when probing was serial — the convention everywhere (see
-    #: :class:`~repro.core.capacity.CapacitySearchResult`) is "no pool
-    #: means nothing speculated, so nothing was wasted".
-    probe_worker_utilisation: float = 1.0
-    #: Wall ms the capacity search spent blocked on pool verdicts this
-    #: round (tracing-only diagnostic; 0.0 unless a tracer was armed).
-    probe_wait_ms: float = 0.0
-    #: Wall ms probe workers spent in consumed packs this round
-    #: (tracing-only diagnostic; 0.0 unless a tracer was armed).
-    probe_exec_ms: float = 0.0
     #: Capacity the search converged to (0.0 for schedulers that expose
     #: no diagnostics).
     capacity_ms: float = 0.0
@@ -975,12 +961,6 @@ class CentralServer:
                 bisection_steps=getattr(search, "bisection_steps", 0),
                 warm_started=getattr(search, "warm_start_used", False),
                 kernel=getattr(search, "kernel", ""),
-                batch_width=getattr(search, "batch_width", 1),
-                probe_worker_utilisation=getattr(
-                    search, "probe_worker_utilisation", 1.0
-                ),
-                probe_wait_ms=getattr(search, "probe_wait_ms", 0.0),
-                probe_exec_ms=getattr(search, "probe_exec_ms", 0.0),
                 capacity_ms=getattr(search, "capacity_ms", 0.0),
                 pods=getattr(search, "pods", 1),
                 pod_assign=getattr(search, "pod_assign", "none"),
@@ -1015,8 +995,6 @@ class CentralServer:
                 bisection_steps=record.bisection_steps,
                 warm_started=record.warm_started,
                 kernel=record.kernel,
-                batch_width=record.batch_width,
-                probe_worker_utilisation=record.probe_worker_utilisation,
                 pods=record.pods,
                 pod_assign=record.pod_assign,
                 policy=record.policy,

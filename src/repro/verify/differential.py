@@ -9,10 +9,7 @@ guarantee into a reusable runner: feed it any
 1. runs :class:`~repro.core._reference.ReferenceCapacitySearch` (the
    frozen original), then :class:`~repro.core.capacity.CapacitySearch`
    under ``kernel='python'`` and ``kernel='numpy'``, each cold and then
-   warm-started from its own converged capacity — and, with
-   ``batched=True``, each of those again through the speculative
-   probe-worker pool (batched multi-candidate probing over shared
-   memory), which must replay the identical bisection trajectory;
+   warm-started from its own converged capacity (five legs in all);
 2. asserts every leg's schedule serialises to byte-identical JSON and
    converges to the same capacity;
 3. sandwiches the predicted makespan between the LP relaxation's lower
@@ -84,19 +81,11 @@ def differential_check(
     epsilon_ms: float = 1.0,
     max_iterations: int = 60,
     lp: bool | None = None,
-    batched: bool = False,
-    batch_width: int | str = 4,
-    probe_workers: int = 2,
 ) -> DifferentialReport:
     """Run one instance through every search leg and compare.
 
     ``lp=None`` (auto) solves the LP relaxation only for instances small
     enough that HiGHS stays cheap; ``lp=True``/``False`` forces it.
-    ``batched=True`` adds, per kernel, a cold and a warm leg through the
-    speculative probe pool (``probe_workers`` processes, ``batch_width``
-    candidates in flight) — the batched search must reproduce the
-    serial trajectory byte for byte.  Off by default: each batched leg
-    forks a worker pool, which would dominate a large fuzz campaign.
     Raises :class:`DifferentialMismatchError` on any disagreement.
     """
     reference = ReferenceCapacitySearch(
@@ -119,30 +108,15 @@ def differential_check(
         legs.append(label)
 
     legs = ["reference"]
-    variants = [("", {})]
-    if batched:
-        variants.append(
-            (
-                "batched-",
-                {"probe_workers": probe_workers, "batch_width": batch_width},
-            )
-        )
     for kernel in KERNELS:
-        for prefix, extra in variants:
-            cold = CapacitySearch(
-                epsilon_ms=epsilon_ms,
-                max_iterations=max_iterations,
-                kernel=kernel,
-                **extra,
-            ).run(instance)
-            warm = CapacitySearch(
-                epsilon_ms=epsilon_ms,
-                max_iterations=max_iterations,
-                kernel=kernel,
-                **extra,
-            ).run(instance, warm_hint_ms=cold.capacity_ms)
-            check(f"{kernel}-{prefix}cold", cold)
-            check(f"{kernel}-{prefix}warm", warm)
+        cold = CapacitySearch(
+            epsilon_ms=epsilon_ms, max_iterations=max_iterations, kernel=kernel
+        ).run(instance)
+        warm = CapacitySearch(
+            epsilon_ms=epsilon_ms, max_iterations=max_iterations, kernel=kernel
+        ).run(instance, warm_hint_ms=cold.capacity_ms)
+        check(f"{kernel}-cold", cold)
+        check(f"{kernel}-warm", warm)
 
     makespan = reference.schedule.predicted_makespan_ms(instance)
     _, greedy_bound = capacity_bounds(instance)
@@ -346,7 +320,6 @@ def run_differential_campaign(
     seed: int = 0,
     epsilon_ms: float = 1.0,
     lp: bool | None = None,
-    batched: bool = False,
 ) -> list[DifferentialReport]:
     """Differential-check ``count`` fuzzed instances from one seed.
 
@@ -362,8 +335,6 @@ def run_differential_campaign(
     for instance_seed in derive_seeds(seed, count):
         instance = generate_instance(instance_seed)
         reports.append(
-            differential_check(
-                instance, epsilon_ms=epsilon_ms, lp=lp, batched=batched
-            )
+            differential_check(instance, epsilon_ms=epsilon_ms, lp=lp)
         )
     return reports

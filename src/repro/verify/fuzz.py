@@ -350,7 +350,6 @@ def build_scenario_server(
     telemetry=None,
     on_round=None,
     record_instances: bool = True,
-    probe_workers: int | None = None,
     pods: int | None = None,
 ) -> CentralServer:
     """Construct a scenario's server exactly as the fuzzer runs it.
@@ -359,13 +358,10 @@ def build_scenario_server(
     (``repro.durability.recovery``) replays runs by rebuilding the
     server through this same function, so any knob added to
     :class:`Scenario` must be threaded through here to keep replays
-    byte-identical.  ``probe_workers`` is deliberately *not* part of
-    the scenario: the speculative pool changes how capacity verdicts
-    are computed, never the schedules, so drills may turn it on
-    without perturbing digests.  ``pods`` likewise swaps in the
-    sharded scheduler (same kernel/warm-start knobs) without entering
-    the scenario — ``repro trace --pods`` uses it to profile the
-    pod-parallel path on fuzz fleets.
+    byte-identical.  ``pods`` is deliberately *not* part of the
+    scenario: it swaps in the sharded scheduler (same
+    kernel/warm-start knobs) — ``repro trace --pods`` uses it to
+    profile the pod-parallel path on fuzz fleets.
     """
     profiles = paper_task_profiles()
     truth = FleetGroundTruth(
@@ -391,7 +387,6 @@ def build_scenario_server(
         scheduler = CwcScheduler(
             kernel=scenario.kernel,
             warm_start=scenario.warm_start,
-            probe_workers=probe_workers,
             telemetry=telemetry,
         )
     else:
@@ -401,7 +396,6 @@ def build_scenario_server(
             scenario.policy,
             kernel=scenario.kernel,
             warm_start=scenario.warm_start,
-            probe_workers=probe_workers,
             telemetry=telemetry,
             unreliable=tuple(sorted(scenario.chaos.phone_ids())),
         )
@@ -802,13 +796,10 @@ class CrashRestoreReport:
     campaign_digest: str
     kills: int
     cold_restarts: int
-    #: ``cwc-probe-*`` segments still in ``/dev/shm`` when the campaign
-    #: finished — always empty unless probe-worker teardown regressed.
-    leaked_shm: tuple = ()
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.leaked_shm
+        return not self.failures
 
 
 def run_crash_restore_campaign(
@@ -817,7 +808,6 @@ def run_crash_restore_campaign(
     seed: int = 0,
     store_root: str | Path | None = None,
     progress: Callable[[int, object], None] | None = None,
-    probe_workers: int | None = None,
     tracing: bool = True,
 ) -> CrashRestoreReport:
     """Kill/restore-drill ``runs`` scenarios derived from ``seed``.
@@ -831,12 +821,6 @@ def run_crash_restore_campaign(
     ``store_root`` (a temporary directory when omitted), one
     ``crash-<seed>`` subdirectory per scenario.
 
-    ``probe_workers`` runs every leg through the speculative probe
-    pool (digests are unaffected), turning the campaign into a
-    shared-memory teardown drill: the report's ``leaked_shm`` lists
-    any ``cwc-probe-*`` segment still in ``/dev/shm`` afterwards and
-    fails ``ok`` if non-empty.
-
     ``tracing`` (default on) arms the span tracer on the killed and
     restored legs: every kill must leave only closed spans behind and
     the restored run additionally passes the span invariants — again
@@ -844,7 +828,6 @@ def run_crash_restore_campaign(
     """
     import tempfile
 
-    from ..core.shm import leaked_segments
     from ..durability.recovery import crash_restore_check
 
     if runs < 1:
@@ -867,7 +850,6 @@ def run_crash_restore_campaign(
             outcome = crash_restore_check(
                 scenario,
                 store_dir=root / f"crash-{scenario_seed}",
-                probe_workers=probe_workers,
                 tracing=tracing,
             )
             outcomes.append(outcome)
@@ -894,5 +876,4 @@ def run_crash_restore_campaign(
         campaign_digest=hasher.hexdigest(),
         kills=kills,
         cold_restarts=cold_restarts,
-        leaked_shm=tuple(leaked_segments()),
     )

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import capacity
 from repro.core.capacity import CapacitySearch, capacity_bounds
 from repro.core.packing import GreedyPacker
+from repro.core.serialize import schedule_to_dict
+from repro.obs import Telemetry
 
 from ..conftest import make_instance
 
@@ -97,3 +100,36 @@ class TestSearch:
         assert [
             (a.phone_id, a.job_id, a.input_kb) for a in first.schedule
         ] == [(a.phone_id, a.job_id, a.input_kb) for a in second.schedule]
+
+
+class TestColdRerunFallback:
+    """A materialise pack that fails sends the search to a cold rerun."""
+
+    def test_failed_materialise_is_counted(self, monkeypatch):
+        instance = make_instance(seed=4)
+        cold = CapacitySearch(kernel="python").run(instance)
+        assert cold.cold_reruns == 0
+        # A hint well below the converged capacity that the packer
+        # wrongly reports feasible: the bisection then assumes every
+        # midpoint above it feasible, and the real pack that
+        # materialises the final one fails.
+        hint = capacity_bounds(instance)[0]
+
+        class LiesAtHint(GreedyPacker):
+            def pack(self, capacity_ms):
+                if capacity_ms == hint:
+                    return super().pack(cold.capacity_ms)
+                return super().pack(capacity_ms)
+
+        monkeypatch.setitem(capacity._KERNEL_CLASSES, "python", LiesAtHint)
+        tel = Telemetry.create(run_id="cold-rerun")
+        result = CapacitySearch(kernel="python", telemetry=tel).run(
+            instance, warm_hint_ms=hint
+        )
+        assert result.cold_reruns == 1
+        assert not result.warm_start_used
+        assert result.capacity_ms == cold.capacity_ms
+        assert schedule_to_dict(result.schedule) == schedule_to_dict(
+            cold.schedule
+        )
+        assert tel.registry.counter_value("capacity_cold_reruns_total") == 1

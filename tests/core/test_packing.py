@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro.core.instance import SchedulingInstance
 from repro.core.model import Job, JobKind, PhoneSpec
 from repro.core.packing import GreedyPacker
+from repro.core.packing_vec import VectorGreedyPacker
 from repro.core.prediction import RuntimePredictor
+from repro.verify import differential_check
+from repro.verify.fuzz import generate_instance
 
 from ..conftest import make_instance
 
@@ -199,3 +202,28 @@ class TestPackingInvariants:
         )
         result = GreedyPacker(instance).pack(upper * (1 + 1e-9) + 1e-6)
         assert result.feasible
+
+
+class TestNonMonotoneFeasibility:
+    """Greedy feasibility is NOT monotone in capacity.
+
+    Fuzz seed 3504320067 has a feasible pocket: raising the capacity
+    from 92 000 ms to 92 500 ms turns a feasible pack infeasible (the
+    greedy order shifts and strands a remainder), and 93 500 ms packs
+    again.  This is why the capacity search may never transfer a
+    verdict from one capacity to another by assumption: only warm
+    hints, which replay a converged capacity, are exempt.
+    """
+
+    SEED = 3504320067
+
+    @pytest.mark.parametrize("packer_cls", [GreedyPacker, VectorGreedyPacker])
+    def test_feasibility_pocket_exists(self, packer_cls):
+        packer = packer_cls(generate_instance(self.SEED))
+        assert packer.pack(92_000.0).feasible
+        assert not packer.pack(92_500.0).feasible
+        assert packer.pack(93_500.0).feasible
+
+    def test_pocket_seed_differential(self):
+        report = differential_check(generate_instance(self.SEED))
+        assert len(report.legs) == 5

@@ -1,38 +1,52 @@
-"""Property tests for the optimised packer.
+"""Property tests for the optimised packer and the search built on it.
 
-Two properties underpin the hot-path overhaul:
+Greedy feasibility is *not* monotone in capacity (see
+``TestNonMonotoneFeasibility`` in ``test_packing.py``), so the capacity
+search never assumes it.  What the search does rely on is pinned here,
+across random instances including atomic jobs, jobs at the
+``MIN_PARTITION_KB`` granularity, and RAM-clamped fleets:
 
-* **monotonicity** — if Algorithm 1 packs at capacity ``C`` it packs at
-  every ``C' > C``.  The warm-start oracle in
-  :mod:`repro.core.capacity` assumes exactly this, so it is pinned
-  here across random instances including atomic jobs, jobs at the
-  ``MIN_PARTITION_KB`` granularity, and RAM-clamped fleets;
 * **reference equivalence** — the optimised packer takes every decision
   the frozen pre-optimisation packer takes, on arbitrary generated
-  instances and capacities (the golden tests cover curated ones).
+  instances and capacities (the golden tests cover curated ones);
+* **warm-hint replay identity** — a search warm-started at the
+  capacity a cold search converged to replays the cold search's
+  verdicts: same capacity, same schedule bytes;
+* **certificate soundness** — no capacity the infeasibility floors
+  reject packs, and none the feasibility threshold accepts fails.
 
-Both properties are pinned for *each* packing kernel — the exact
+Every property is pinned for *each* packing kernel — the exact
 scalar :class:`~repro.core.packing.GreedyPacker` and the vectorized
 :class:`~repro.core.packing_vec.VectorGreedyPacker` — since the
 capacity search may run either.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core._reference import ReferenceGreedyPacker
-from repro.core.capacity import capacity_bounds
+from repro.core.capacity import (
+    _CERT_MARGIN,
+    CapacitySearch,
+    _certificate_floors,
+    _greedy_feasibility_threshold,
+    capacity_bounds,
+)
 from repro.core.constraints import RamConstraint
 from repro.core.instance import SchedulingInstance
 from repro.core.model import MIN_PARTITION_KB, Job, JobKind, PhoneSpec
 from repro.core.packing import GreedyPacker
 from repro.core.packing_vec import VectorGreedyPacker
+from repro.core.schedule import InfeasibleScheduleError
 from repro.core.serialize import schedule_to_dict
 
 KERNELS = pytest.mark.parametrize(
     "packer_cls", [GreedyPacker, VectorGreedyPacker]
 )
+SEARCH_KERNELS = pytest.mark.parametrize("kernel", ["python", "numpy"])
 
 
 @st.composite
@@ -103,20 +117,6 @@ def instance_and_capacities(draw):
 
 
 @KERNELS
-@settings(max_examples=150, deadline=None)
-@given(case=instance_and_capacities())
-def test_feasibility_monotone_in_capacity(packer_cls, case):
-    """pack(C) feasible implies pack(C') feasible for all C' > C."""
-    instance, capacities = case
-    packer = packer_cls(instance)
-    feasibility = [packer.pack(c).feasible for c in capacities]
-    # Once True, never False again at a higher capacity.
-    assert feasibility == sorted(feasibility), (
-        f"feasibility not monotone: {list(zip(capacities, feasibility))}"
-    )
-
-
-@KERNELS
 @settings(max_examples=120, deadline=None)
 @given(case=instance_and_capacities())
 def test_packer_matches_reference_everywhere(packer_cls, case):
@@ -135,25 +135,71 @@ def test_packer_matches_reference_everywhere(packer_cls, case):
             )
 
 
-@KERNELS
-@settings(max_examples=60, deadline=None)
+def _bytes(schedule) -> bytes:
+    return json.dumps(schedule_to_dict(schedule), sort_keys=True).encode()
+
+
+@SEARCH_KERNELS
+@settings(max_examples=80, deadline=None)
 @given(
-    case=instance_and_capacities(),
-    cap_scale=st.floats(min_value=0.5, max_value=3.0),
+    instance=instances(),
+    cap_scale=st.one_of(st.none(), st.floats(min_value=0.5, max_value=3.0)),
 )
-def test_feasibility_monotone_under_ram_clamp(packer_cls, case, cap_scale):
-    """Monotonicity survives the RAM constraint (footnote 4)."""
-    instance, capacities = case
-    biggest = max(job.input_kb for job in instance.jobs)
-    ram = RamConstraint(
-        {
-            phone.phone_id: max(biggest * cap_scale, MIN_PARTITION_KB)
-            for phone in instance.phones
-        }
+def test_warm_hint_replay_identity(kernel, instance, cap_scale):
+    """A hint at the cold capacity replays the cold search exactly."""
+    ram = None
+    if cap_scale is not None:
+        biggest = max(job.input_kb for job in instance.jobs)
+        ram = RamConstraint(
+            {
+                phone.phone_id: max(biggest * cap_scale, MIN_PARTITION_KB)
+                for phone in instance.phones
+            }
+        )
+    try:
+        cold = CapacitySearch(kernel=kernel, ram=ram).run(instance)
+    except InfeasibleScheduleError:
+        return  # an atomic job fits no phone's RAM: nothing to replay
+    warm = CapacitySearch(kernel=kernel, ram=ram).run(
+        instance, warm_hint_ms=cold.capacity_ms
     )
-    packer = packer_cls(instance, ram=ram)
-    feasibility = [packer.pack(c).feasible for c in capacities]
-    assert feasibility == sorted(feasibility)
+    assert warm.capacity_ms == cold.capacity_ms
+    assert _bytes(warm.schedule) == _bytes(cold.schedule)
+    assert warm.cold_reruns == 0
+
+
+@KERNELS
+@settings(max_examples=100, deadline=None)
+@given(case=instance_and_capacities())
+def test_certificate_soundness(packer_cls, case):
+    """The search's certificates never contradict a real pack.
+
+    Probes at the search's own decision points: a capacity the floors
+    reject (after the search's safety margin) must fail to pack, and
+    one the feasibility threshold accepts must pack.
+    """
+    instance, capacities = case
+    single_floor, volume = _certificate_floors(instance, MIN_PARTITION_KB)
+    floor = max(single_floor, volume / len(instance.phones))
+    threshold = _greedy_feasibility_threshold(
+        instance, MIN_PARTITION_KB, None
+    )
+    probes = list(capacities)
+    probes.append((floor - _CERT_MARGIN) / (1.0 + _CERT_MARGIN) * 0.999999)
+    if threshold is not None:
+        probes.append(
+            (threshold + _CERT_MARGIN) / (1.0 - _CERT_MARGIN) * 1.000001
+        )
+        probes.append(2.0 * threshold + 1.0)
+    packer = packer_cls(instance)
+    for capacity in probes:
+        padded = capacity * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
+        if padded < single_floor or len(instance.phones) * padded < volume:
+            assert not packer.pack(capacity).feasible, capacity
+        if threshold is not None and (
+            capacity * (1.0 - _CERT_MARGIN) - _CERT_MARGIN >= threshold
+        ):
+            assert packer.pack(capacity).feasible, capacity
 
 
 @KERNELS

@@ -150,50 +150,3 @@ class TestKeepaliveConfig:
         result = server.run(jobs())
         (failure,) = result.trace.failures
         assert failure.detected_at_ms == pytest.approx(10_000.0)
-
-
-class TestUtilisationDefaults:
-    """Serial (no-pool) runs must report utilisation 1.0, not 0.0.
-
-    The convention across CapacitySearchResult, SchedulingStats, and
-    RoundRecord is "no pool means nothing speculated, so nothing was
-    wasted" — a serial search consumes every pack it issues.  PR 9
-    aligned RoundRecord's fallback with the dataclass defaults; these
-    tests pin all three layers so the convention cannot drift again.
-    """
-
-    def test_dataclass_defaults_agree(self):
-        from repro.core.capacity import CapacitySearchResult
-        from repro.core.greedy import SchedulingStats
-        from repro.sim.server import RoundRecord
-
-        assert SchedulingStats().probe_worker_utilisation == 1.0
-        fields = {
-            f.name: f.default
-            for f in CapacitySearchResult.__dataclass_fields__.values()
-        }
-        assert fields["probe_worker_utilisation"] == 1.0
-        round_fields = {
-            f.name: f.default
-            for f in RoundRecord.__dataclass_fields__.values()
-        }
-        assert round_fields["probe_worker_utilisation"] == 1.0
-        assert round_fields["probe_wait_ms"] == 0.0
-        assert round_fields["probe_exec_ms"] == 0.0
-
-    def test_serial_run_records_full_utilisation(self):
-        server, _ = build_server()
-        result = server.run(jobs())
-        assert not result.unfinished_jobs
-        assert result.rounds  # the run actually scheduled something
-        for record in result.rounds:
-            assert record.probe_worker_utilisation == 1.0
-            assert record.probe_wait_ms == 0.0
-            assert record.probe_exec_ms == 0.0
-
-    def test_serial_scheduler_stats_report_full_utilisation(self):
-        server, _ = build_server()
-        server.run(jobs())
-        scheduler = server._scheduler
-        stats = scheduler.stats
-        assert stats.probe_worker_utilisation == 1.0

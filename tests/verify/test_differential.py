@@ -52,6 +52,12 @@ class TestDifferentialCheck:
         assert not report.lp_checked
         assert report.lp_bound_ms is None
 
+    def test_wide_epsilon_bracket(self):
+        # Epsilon exhausts the bracket in a handful of levels: every leg
+        # must stop at the same grid node as the reference.
+        report = differential_check(small_instance(), epsilon_ms=500.0)
+        assert len(report.legs) == 5
+
     def test_reports_are_deterministic(self):
         first = differential_check(small_instance())
         second = differential_check(small_instance())
