@@ -764,16 +764,25 @@ def _cmd_simulate(args) -> int:
     }
     for key, value in summary.items():
         print(f"{key}: {value}")
-    stats = getattr(scheduler, "stats", None)
-    if stats is not None and stats.rounds:
-        summary["scheduling"] = stats.as_dict()
-        warm_rounds = sum(1 for r in result.rounds if r.warm_started)
+    searched = [r for r in result.rounds if r.search is not None]
+    if searched:
+        searches = [r.search for r in searched]
+        stats = summary["scheduling"] = {
+            "rounds": len(searched),
+            "wall_ms": sum(r.scheduling_wall_ms for r in searched),
+            "packer_passes": sum(s.packer_passes for s in searches),
+            "bisection_steps": sum(s.bisection_steps for s in searches),
+            "shortcircuit_skips": sum(s.shortcircuit_skips for s in searches),
+            "assumed_feasible": sum(s.assumed_feasible for s in searches),
+            "warm_start_hits": sum(s.warm_start_used for s in searches),
+            "kernel": searches[-1].kernel,
+        }
         print(
-            f"scheduling wall-clock: {stats.wall_ms:.1f} ms over "
-            f"{stats.rounds} round(s) "
-            f"({stats.packer_passes} packer passes, "
-            f"{stats.bisection_steps} bisection steps, "
-            f"{warm_rounds} warm-start hit(s))"
+            f"scheduling wall-clock: {stats['wall_ms']:.1f} ms over "
+            f"{stats['rounds']} round(s) "
+            f"({stats['packer_passes']} packer passes, "
+            f"{stats['bisection_steps']} bisection steps, "
+            f"{stats['warm_start_hits']} warm-start hit(s))"
         )
     report = None
     if not chaos.is_empty or policy is not None:

@@ -45,11 +45,8 @@ to the naive pack-every-probe search:
   per search: the *single-placement floor* (some job's cheapest
   possible first placement exceeds ``C`` on every phone), the *volume
   floor* (the fleet-wide work implied by the jobs exceeds
-  ``|P| * C``), and — opt-in, because solving it is only cheap on
-  small instances — the *LP floor* (the relaxation of
-  :mod:`repro.core.lp_bound` lower-bounds every schedule's makespan).
-  A midpoint below any floor is provably infeasible and is resolved
-  without packing;
+  ``|P| * C``).  A midpoint below either floor is provably infeasible
+  and is resolved without packing;
 * **feasibility certificate** — the dual of the floors: a capacity
   threshold above which Algorithm 1 *provably cannot fail* (see
   :func:`_greedy_feasibility_threshold` for the proof).  Midpoints
@@ -82,23 +79,24 @@ to the naive pack-every-probe search:
   every assumption-based shortcut disabled, which is unconditionally
   correct (counted in ``cold_reruns``).
 
-``iterations`` (and its alias ``packer_passes``) counts *real* packs,
-preserving the historical meaning; ``bisection_steps`` counts bracket
-updates and is what ``max_iterations`` caps, so certificate skips and
-assumed probes cannot lengthen the trajectory relative to the original
-implementation.
+``packer_passes`` counts *real* packs; ``bisection_steps`` counts
+bracket updates and is what ``max_iterations`` caps, so certificate
+skips and assumed probes cannot lengthen the trajectory relative to
+the original implementation.  :class:`CapacitySearchResult` is the one
+record of these counters: schedulers, round records and the CLI
+summary all read them from it.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.tracing import maybe_span
-from .arraypool import ArrayPool
 from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB
 from .packing import GreedyPacker, PackingResult
@@ -117,10 +115,6 @@ __all__ = [
 #: certificates.  Must comfortably exceed the packer's 1e-9 exact-fit
 #: tolerance.
 _CERT_MARGIN = 1e-6
-
-#: Extra relative slack applied to the LP floor: the HiGHS objective is
-#: itself a floating-point approximation of the true LP optimum.
-_LP_MARGIN = 1e-5
 
 #: ``kernel='auto'``: instances with at least this many phone × job
 #: cells probe with the numpy kernel (measured crossover ~2e5 cells).
@@ -335,26 +329,6 @@ def _greedy_feasibility_threshold(
     return worst_first + (work + placements_bound * exe_max) / n_phones
 
 
-def _lp_floor(instance: SchedulingInstance) -> float | None:
-    """LP-relaxation makespan as an infeasibility floor, or ``None``.
-
-    ``T_relaxed <= T_optimal``: if *any* schedule fits in capacity
-    ``C`` then ``C >= T_optimal >= T_relaxed``, so capacities below the
-    relaxed makespan are infeasible for the greedy packer too.  The
-    solver import and solve are attempted lazily; any failure simply
-    disables the floor.
-    """
-    try:
-        from .lp_bound import solve_relaxed_makespan
-
-        solution = solve_relaxed_makespan(instance)
-    except Exception:
-        return None
-    if solution.status != 0:
-        return None
-    return solution.makespan_ms * (1.0 - _LP_MARGIN)
-
-
 @dataclass(frozen=True)
 class CapacitySearchResult:
     """Outcome of the full capacity search."""
@@ -364,8 +338,6 @@ class CapacitySearchResult:
     max_height_ms: float
     lower_bound_ms: float
     upper_bound_ms: float
-    #: Real Algorithm-1 packs issued (historical name; == packer_passes).
-    iterations: int
     #: Real Algorithm-1 packs issued.
     packer_passes: int = 0
     #: Bracket updates walked (seed + bisection probes); what
@@ -402,10 +374,6 @@ class CapacitySearch:
         Packing backend for the probes: ``'python'`` (exact scalar
         reference), ``'numpy'`` (vectorized, byte-identical), or
         ``'auto'`` (pick by instance size).
-    lp_floor:
-        Additionally certify infeasible midpoints against the LP
-        relaxation of :mod:`repro.core.lp_bound`.  Off by default: the
-        LP solve only pays for itself on small instances.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
         search records only registry metrics (probe outcomes, bisection
@@ -423,7 +391,6 @@ class CapacitySearch:
         min_partition_kb: float | None = None,
         ram=None,
         kernel: str = "auto",
-        lp_floor: bool = False,
         telemetry=None,
     ) -> None:
         if epsilon_ms <= 0:
@@ -440,17 +407,7 @@ class CapacitySearch:
         #: Optional RamConstraint applied inside the packer (footnote 4).
         self._ram = ram
         self._kernel = kernel
-        self._lp_floor = lp_floor
-        #: Cross-round buffer recycler for the numpy kernel's dense
-        #: mirrors; lives as long as the search object, so a scheduler
-        #: that reschedules every round stops re-allocating them.
-        self._array_pool = ArrayPool()
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    @property
-    def array_pool(self) -> ArrayPool:
-        """The search's cross-round :class:`ArrayPool` (diagnostics)."""
-        return self._array_pool
 
     def run(
         self,
@@ -509,10 +466,6 @@ class CapacitySearch:
         if self._min_partition_kb is not None:
             packer_kwargs["min_partition_kb"] = self._min_partition_kb
         kernel = resolve_kernel(self._kernel, instance)
-        if kernel == "numpy":
-            # The packer draws its dense mirrors from the search's
-            # cross-round pool.
-            packer_kwargs["array_pool"] = self._array_pool
         with maybe_span(tracer, "build", category="capacity", kernel=kernel):
             packer = _KERNEL_CLASSES[kernel](instance, **packer_kwargs)
         cells = len(instance.phones) * len(instance.jobs)
@@ -528,9 +481,6 @@ class CapacitySearch:
                 else MIN_PARTITION_KB
             )
             single_floor, volume = _certificate_floors(instance, min_partition)
-            lp_floor_ms = (
-                _lp_floor(instance) if (self._lp_floor and _trusted) else None
-            )
             feasible_threshold = (
                 _greedy_feasibility_threshold(
                     instance, min_partition, self._ram
@@ -542,9 +492,7 @@ class CapacitySearch:
 
         def provably_infeasible(cap: float) -> bool:
             padded = cap * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
-            if padded < single_floor or n_phones * padded < volume:
-                return True
-            return lp_floor_ms is not None and padded < lp_floor_ms
+            return padded < single_floor or n_phones * padded < volume
 
         def provably_feasible(cap: float) -> bool:
             if feasible_threshold is None:
@@ -572,152 +520,146 @@ class CapacitySearch:
             """Real-pack verdict for ``cap``."""
             nonlocal packs
             packs += 1
-            if tracer is not None:
-                with tracer.span(
-                    "pack", category="capacity", capacity_ms=cap
-                ) as pack_handle:
-                    if defer and not collect:
-                        attempt = packer.pack(cap, collect=False)
-                    else:
-                        attempt = packer.pack(cap)
+            if not tel.enabled:
+                if defer and not collect:
+                    attempt = packer.pack(cap, collect=False)
+                else:
+                    attempt = packer.pack(cap)
+                return attempt.feasible, attempt
+            with maybe_span(
+                tracer, "pack", category="capacity", capacity_ms=cap
+            ) as pack_handle:
+                started = time.perf_counter()
+                if defer and not collect:
+                    attempt = packer.pack(cap, collect=False)
+                else:
+                    attempt = packer.pack(cap)
+                wall_ms = (time.perf_counter() - started) * 1000.0
+                if pack_handle is not None:
                     pack_handle.set_attr("feasible", attempt.feasible)
-            elif defer and not collect:
-                attempt = packer.pack(cap, collect=False)
-            else:
-                attempt = packer.pack(cap)
-            if tel.enabled:
-                tel.inc(
-                    "capacity_probes_total",
-                    outcome="feasible" if attempt.feasible else "infeasible",
-                )
-                tel.observe(
-                    "pack_wall_ms", packer.last_pack_wall_ms, kernel=kernel
-                )
+            tel.inc(
+                "capacity_probes_total",
+                outcome="feasible" if attempt.feasible else "infeasible",
+            )
+            tel.observe("pack_wall_ms", wall_ms, kernel=kernel)
             return attempt.feasible, attempt
 
-        try:
-            # -- warm hint verification ------------------------------------
-            seed_capacity = upper * (1.0 + 1e-9) + 1e-9
-            hint: float | None = None
-            hint_result: PackingResult | None = None
-            if (
-                warm_hint_ms is not None
-                and 0.0 < warm_hint_ms < seed_capacity
+        # -- warm hint verification ----------------------------------------
+        seed_capacity = upper * (1.0 + 1e-9) + 1e-9
+        hint: float | None = None
+        hint_result: PackingResult | None = None
+        if (
+            warm_hint_ms is not None
+            and 0.0 < warm_hint_ms < seed_capacity
+        ):
+            with maybe_span(
+                tracer,
+                "warm_verify",
+                category="capacity",
+                hint_ms=warm_hint_ms,
             ):
+                attempt = packer.pack(warm_hint_ms)
+            packs += 1
+            if attempt.feasible:
+                hint = warm_hint_ms
+                hint_result = attempt
+                feas_at = warm_hint_ms
+        warm_used = hint is not None
+
+        # -- seed: packing at the upper bound must succeed -----------------
+        # A hair of slack keeps accumulated rounding error from
+        # rejecting the exact-fit packing.
+        best: PackingResult | None = None
+        best_capacity = seed_capacity
+        steps += 1
+        if provably_feasible(seed_capacity):
+            skips += 1
+        elif feas_at is not None and seed_capacity >= feas_at:
+            # Replay oracle: the seed lies above the verified hint.
+            assumed += 1
+        else:
+            feasible, attempt = probe_feasible(seed_capacity)
+            if not feasible:
+                raise InfeasibleScheduleError(
+                    "greedy packing failed even at the upper-bound "
+                    f"capacity ({upper:.3f} ms); the instance is "
+                    "malformed or an atomic job violates a resource "
+                    "constraint on every phone"
+                )
+            best = attempt
+
+        # -- bisection on the cold midpoint grid ---------------------------
+        while (
+            upper - lower > self._epsilon_ms
+            and steps < self._max_iterations
+        ):
+            mid = (lower + upper) / 2.0
+            steps += 1
+            with maybe_span(
+                tracer,
+                "bisect_step",
+                category="capacity",
+                step=steps,
+                mid_ms=mid,
+            ):
+                if provably_infeasible(mid):
+                    skips += 1
+                    lower = mid
+                    continue
+                if provably_feasible(mid):
+                    skips += 1
+                    upper = mid
+                    best = None  # certified; materialised below if final
+                    best_capacity = mid
+                    continue
+                if feas_at is not None and mid >= feas_at:
+                    assumed += 1
+                    upper = mid
+                    best = None  # assumed; materialised below if final
+                    best_capacity = mid
+                    continue
+                # Once the bracket is within a step or two of
+                # epsilon, a feasible verdict is likely final:
+                # collect its schedule so no separate
+                # materialisation pack is needed.
+                feasible, attempt = probe_feasible(
+                    mid,
+                    collect=(upper - lower) <= 2.0 * self._epsilon_ms,
+                )
+                if feasible:
+                    upper = mid
+                    best = attempt
+                    best_capacity = mid
+                else:
+                    lower = mid
+
+        # -- materialise an assumed/deferred final capacity ----------------
+        if best is None or best.schedule is None:
+            if hint_result is not None and best_capacity == hint:
+                best = hint_result
+            else:
                 with maybe_span(
                     tracer,
-                    "warm_verify",
+                    "materialise",
                     category="capacity",
-                    hint_ms=warm_hint_ms,
+                    capacity_ms=best_capacity,
                 ):
-                    attempt = packer.pack(warm_hint_ms)
+                    attempt = packer.pack(best_capacity)
                 packs += 1
                 if attempt.feasible:
-                    hint = warm_hint_ms
-                    hint_result = attempt
-                    feas_at = warm_hint_ms
-            warm_used = hint is not None
-
-            # -- seed: packing at the upper bound must succeed -------------
-            # A hair of slack keeps accumulated rounding error from
-            # rejecting the exact-fit packing.
-            best: PackingResult | None = None
-            best_capacity = seed_capacity
-            steps += 1
-            if provably_feasible(seed_capacity):
-                skips += 1
-            elif feas_at is not None and seed_capacity >= feas_at:
-                # Replay oracle: the seed lies above the verified hint.
-                assumed += 1
-            else:
-                feasible, attempt = probe_feasible(seed_capacity)
-                if not feasible:
-                    raise InfeasibleScheduleError(
-                        "greedy packing failed even at the upper-bound "
-                        f"capacity ({upper:.3f} ms); the instance is "
-                        "malformed or an atomic job violates a resource "
-                        "constraint on every phone"
-                    )
-                best = attempt
-
-            # -- bisection on the cold midpoint grid -----------------------
-            while (
-                upper - lower > self._epsilon_ms
-                and steps < self._max_iterations
-            ):
-                mid = (lower + upper) / 2.0
-                steps += 1
-                with maybe_span(
-                    tracer,
-                    "bisect_step",
-                    category="capacity",
-                    step=steps,
-                    mid_ms=mid,
-                ):
-                    if provably_infeasible(mid):
-                        skips += 1
-                        lower = mid
-                        continue
-                    if provably_feasible(mid):
-                        skips += 1
-                        upper = mid
-                        best = None  # certified; materialised below if final
-                        best_capacity = mid
-                        continue
-                    if feas_at is not None and mid >= feas_at:
-                        assumed += 1
-                        upper = mid
-                        best = None  # assumed; materialised below if final
-                        best_capacity = mid
-                        continue
-                    # Once the bracket is within a step or two of
-                    # epsilon, a feasible verdict is likely final:
-                    # collect its schedule so no separate
-                    # materialisation pack is needed.
-                    feasible, attempt = probe_feasible(
-                        mid,
-                        collect=(upper - lower) <= 2.0 * self._epsilon_ms,
-                    )
-                    if feasible:
-                        upper = mid
-                        best = attempt
-                        best_capacity = mid
-                    else:
-                        lower = mid
-
-            # -- materialise an assumed/deferred final capacity ------------
-            if best is None or best.schedule is None:
-                if hint_result is not None and best_capacity == hint:
-                    best = hint_result
+                    best = attempt
                 else:
-                    with maybe_span(
-                        tracer,
-                        "materialise",
-                        category="capacity",
-                        capacity_ms=best_capacity,
-                    ):
-                        attempt = packer.pack(best_capacity)
-                    packs += 1
-                    if attempt.feasible:
-                        best = attempt
-                    else:
-                        # An assumption was violated (never observed in
-                        # practice): discard everything the oracles
-                        # assumed and redo the search cold with every
-                        # shortcut disabled, which is unconditionally
-                        # correct.
-                        if tel.enabled:
-                            tel.inc("capacity_cold_reruns_total")
-                        rerun = self.run(instance, _trusted=False)
-                        return replace(
-                            rerun, cold_reruns=rerun.cold_reruns + 1
-                        )
-        finally:
-            if kernel == "numpy":
-                # Hand the dense mirrors back for the next round; the
-                # surviving results only reference builder-made
-                # schedules, never the pooled buffers.
-                packer.release_buffers()
+                    # An assumption was violated (never observed in
+                    # practice): discard everything the oracles
+                    # assumed and redo the search cold with every
+                    # shortcut disabled, which is unconditionally
+                    # correct.
+                    if tel.enabled:
+                        tel.inc("capacity_cold_reruns_total")
+                    rerun = self.run(instance, _trusted=False)
+                    return replace(
+                        rerun, cold_reruns=rerun.cold_reruns + 1
+                    )
 
         assert best.schedule is not None
         if tel.enabled:
@@ -735,7 +677,6 @@ class CapacitySearch:
             max_height_ms=best.max_height_ms,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            iterations=packs,
             packer_passes=packs,
             bisection_steps=steps,
             shortcircuit_skips=skips,

@@ -8,19 +8,19 @@ makespan the binary capacity search has minimised, taking into account
 bandwidth (through ``b_i``) — the bandwidth term being the key
 departure from desktop systems such as Condor.
 
-The scheduler also plays bookkeeper for the hot path: it times each
-``schedule()`` call, accumulates pack/bisection counters across rounds
-(:class:`SchedulingStats`), and — when ``warm_start=True`` — feeds each
-round's converged capacity into the next round's search as a verified
-warm hint (see :mod:`repro.core.capacity`).  Warm starting never changes
-the schedules produced; it only reduces the number of real Algorithm-1
+The scheduler keeps the most recent search's
+:class:`~repro.core.capacity.CapacitySearchResult` as ``last_result``
+(the one record of its pack/bisection counters) and — when
+``warm_start=True`` — feeds each round's converged capacity into the
+next round's search as a verified warm hint (see
+:mod:`repro.core.capacity`).  Warm starting never changes the
+schedules produced; it only reduces the number of real Algorithm-1
 packs at rescheduling instants.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import NULL_TELEMETRY
@@ -29,7 +29,7 @@ from .capacity import CapacitySearch, CapacitySearchResult
 from .instance import SchedulingInstance
 from .schedule import Schedule
 
-__all__ = ["Scheduler", "CwcScheduler", "SchedulingStats"]
+__all__ = ["Scheduler", "CwcScheduler"]
 
 
 @runtime_checkable
@@ -42,45 +42,6 @@ class Scheduler(Protocol):
     def schedule(self, instance: SchedulingInstance) -> Schedule:
         """Produce a schedule covering every job in ``instance``."""
         ...
-
-
-@dataclass
-class SchedulingStats:
-    """Hot-path counters accumulated across ``schedule()`` calls."""
-
-    rounds: int = 0
-    wall_ms: float = 0.0
-    packer_passes: int = 0
-    bisection_steps: int = 0
-    shortcircuit_skips: int = 0
-    assumed_feasible: int = 0
-    warm_start_hits: int = 0
-    last_wall_ms: float = 0.0
-    #: Packing backend the most recent round resolved to.
-    kernel: str = ""
-
-    def record(self, result: CapacitySearchResult, wall_ms: float) -> None:
-        self.rounds += 1
-        self.wall_ms += wall_ms
-        self.last_wall_ms = wall_ms
-        self.packer_passes += result.packer_passes
-        self.bisection_steps += result.bisection_steps
-        self.shortcircuit_skips += result.shortcircuit_skips
-        self.assumed_feasible += result.assumed_feasible
-        self.warm_start_hits += 1 if result.warm_start_used else 0
-        self.kernel = result.kernel
-
-    def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "wall_ms": self.wall_ms,
-            "packer_passes": self.packer_passes,
-            "bisection_steps": self.bisection_steps,
-            "shortcircuit_skips": self.shortcircuit_skips,
-            "assumed_feasible": self.assumed_feasible,
-            "warm_start_hits": self.warm_start_hits,
-            "kernel": self.kernel,
-        }
 
 
 class CwcScheduler:
@@ -145,7 +106,6 @@ class CwcScheduler:
         self._warm_start = warm_start
         self._last_result: CapacitySearchResult | None = None
         self._last_capacity_ms: float | None = None
-        self._stats = SchedulingStats()
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
 
     def schedule(self, instance: SchedulingInstance) -> Schedule:
@@ -162,11 +122,10 @@ class CwcScheduler:
             phones=len(instance.phones),
         ):
             result = self._search.run(instance, warm_hint_ms=hint)
-        wall_ms = (time.perf_counter() - started) * 1000.0
         self._last_result = result
         self._last_capacity_ms = result.capacity_ms
-        self._stats.record(result, wall_ms)
         if tel.enabled:
+            wall_ms = (time.perf_counter() - started) * 1000.0
             tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
             tel.inc("schedule_items_total", float(len(instance.jobs)))
             tel.inc("schedule_bins_total", float(len(instance.phones)))
@@ -179,11 +138,6 @@ class CwcScheduler:
     def last_result(self) -> CapacitySearchResult | None:
         """Diagnostics from the most recent capacity search."""
         return self._last_result
-
-    @property
-    def stats(self) -> SchedulingStats:
-        """Counters accumulated over every round scheduled so far."""
-        return self._stats
 
     def reset_warm_state(self) -> None:
         """Forget the previous round's capacity (e.g. between runs)."""

@@ -59,7 +59,6 @@ byte-for-byte equality.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -139,16 +138,6 @@ class GreedyPacker:
             raise ValueError("min_partition_kb must be > 0")
         self._instance = instance
         self._min_partition_kb = min_partition_kb
-        #: Always-on pack statistics: plain attribute updates cheap
-        #: enough for the kernel hot path (two clock reads per pack,
-        #: against packs that cost fractions of a millisecond at
-        #: minimum).  The capacity search forwards these into the
-        #: telemetry registry when a facade is armed.
-        self.packs_issued = 0
-        self.last_pack_wall_ms = 0.0
-        self.total_pack_wall_ms = 0.0
-        self.last_pack_feasible = False
-        self.last_pack_bins = 0
         #: Optional RamConstraint (footnote 4: l_ij <= r_i).
         self._ram = ram
         self._slowest_id = instance.slowest_phone().phone_id
@@ -180,20 +169,6 @@ class GreedyPacker:
 
     def pack(self, capacity_ms: float) -> PackingResult:
         """Attempt to pack every job within bins of ``capacity_ms``."""
-        started = time.perf_counter()
-        result = self._pack_impl(capacity_ms)
-        self._note_pack(result, started)
-        return result
-
-    def _note_pack(self, result: PackingResult, started_s: float) -> None:
-        wall_ms = (time.perf_counter() - started_s) * 1000.0
-        self.packs_issued += 1
-        self.last_pack_wall_ms = wall_ms
-        self.total_pack_wall_ms += wall_ms
-        self.last_pack_feasible = result.feasible
-        self.last_pack_bins = result.opened_bins
-
-    def _pack_impl(self, capacity_ms: float) -> PackingResult:
         if capacity_ms <= 0:
             return PackingResult(feasible=False, capacity_ms=capacity_ms)
 

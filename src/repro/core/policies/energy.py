@@ -103,8 +103,6 @@ class EnergyAwarePolicy:
 
     #: This policy never requests proactive replication.
     last_replicas: tuple = ()
-    #: No capacity search ran, so there are no search diagnostics.
-    last_result = None
 
     def __init__(
         self,

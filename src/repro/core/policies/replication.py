@@ -91,11 +91,6 @@ class ReplicationPolicy:
         """Replica directives attached to the most recent round."""
         return self._last_replicas
 
-    @property
-    def stats(self):
-        """The inner scheduler's accumulated hot-path counters."""
-        return self._base.stats
-
     def reset_warm_state(self) -> None:
         self._base.reset_warm_state()
 

@@ -27,8 +27,6 @@ class ShortestExpectedCompletionPolicy:
 
     #: This policy never requests proactive replication.
     last_replicas: tuple = ()
-    #: No capacity search ran, so there are no search diagnostics.
-    last_result = None
 
     def __init__(self, *, telemetry=None) -> None:
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY

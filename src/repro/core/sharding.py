@@ -57,8 +57,8 @@ import numpy as np
 
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.tracing import maybe_span
-from .capacity import CapacitySearch
-from .greedy import CwcScheduler, SchedulingStats
+from .capacity import CapacitySearch, CapacitySearchResult
+from .greedy import CwcScheduler
 from .instance import SchedulingInstance
 from .pod import (
     PodSolveReport,
@@ -82,29 +82,15 @@ _REBALANCE_MIN_GAP = 1.05
 
 
 @dataclass(frozen=True)
-class ShardedSearchResult:
+class ShardedSearchResult(CapacitySearchResult):
     """Outcome of one sharded scheduling round.
 
-    Field-compatible with :class:`~repro.core.capacity.
-    CapacitySearchResult` (so :class:`~repro.core.greedy.
-    SchedulingStats` and ``RoundRecord`` consume it unchanged), plus
-    the sharding diagnostics.
+    A :class:`~repro.core.capacity.CapacitySearchResult` plus the
+    sharding diagnostics.  On sharded rounds ``capacity_ms`` is the max
+    over the pods' converged capacities, ``max_height_ms`` the max over
+    their tallest bins, and the search counters are summed over pods.
     """
 
-    schedule: Schedule
-    #: Global capacity: max over the pods' converged capacities.
-    capacity_ms: float
-    #: Global makespan: max over the pods' tallest bins.
-    max_height_ms: float
-    lower_bound_ms: float
-    upper_bound_ms: float
-    iterations: int
-    packer_passes: int = 0
-    bisection_steps: int = 0
-    shortcircuit_skips: int = 0
-    assumed_feasible: int = 0
-    warm_start_used: bool = False
-    kernel: str = "python"
     #: Resolved pod count this round (1 = monolithic delegation).
     pods: int = 1
     #: Job-to-pod policy the round used.
@@ -231,15 +217,13 @@ class ShardedScheduler:
             "ram": ram,
             "kernel": kernel,
         }
-        #: Long-lived serial pod solver: its array pool recycles packer
-        #: buffers across pods and across rounds.  It shares this
-        #: scheduler's telemetry (kept out of ``_search_kwargs``, which
-        #: must pickle for workers) so serial pod solves trace and
-        #: meter like monolithic ones.
+        #: Long-lived serial pod solver.  It shares this scheduler's
+        #: telemetry (kept out of ``_search_kwargs``, which must pickle
+        #: for workers) so serial pod solves trace and meter like
+        #: monolithic ones.
         self._local_search = CapacitySearch(
             **self._search_kwargs, telemetry=telemetry
         )
-        self._stats = SchedulingStats()
         self._last_result: ShardedSearchResult | None = None
         #: Warm hints per pod index from the previous sharded round.
         self._last_pod_capacities: dict[int, float] = {}
@@ -251,11 +235,6 @@ class ShardedScheduler:
     def last_result(self) -> ShardedSearchResult | None:
         """Diagnostics from the most recent round."""
         return self._last_result
-
-    @property
-    def stats(self) -> SchedulingStats:
-        """Counters accumulated over every round scheduled so far."""
-        return self._stats
 
     def schedule(self, instance: SchedulingInstance) -> Schedule:
         """Produce a schedule covering every job in ``instance``."""
@@ -304,29 +283,14 @@ class ShardedScheduler:
         wall_ms = (time.perf_counter() - started) * 1000.0
         inner = self._mono.last_result
         lower = inner.lower_bound_ms
-        result = ShardedSearchResult(
-            schedule=schedule,
-            capacity_ms=inner.capacity_ms,
-            max_height_ms=inner.max_height_ms,
-            lower_bound_ms=lower,
-            upper_bound_ms=inner.upper_bound_ms,
-            iterations=inner.iterations,
-            packer_passes=inner.packer_passes,
-            bisection_steps=inner.bisection_steps,
-            shortcircuit_skips=inner.shortcircuit_skips,
-            assumed_feasible=inner.assumed_feasible,
-            warm_start_used=inner.warm_start_used,
-            kernel=inner.kernel,
-            pods=1,
-            pod_assign="none",
+        self._last_result = ShardedSearchResult(
+            **vars(inner),
             pod_solve_ms_max=wall_ms,
             pod_solve_ms_sum=wall_ms,
             shard_bound_ratio=(
                 inner.max_height_ms / lower if lower > 0 else 0.0
             ),
         )
-        self._last_result = result
-        self._stats.record(result, wall_ms)
         return schedule
 
     # -- sharded rounds ---------------------------------------------------
@@ -420,7 +384,6 @@ class ShardedScheduler:
                     wall_ms,
                 )
         self._last_result = result
-        self._stats.record(result, wall_ms)
         self._last_pod_capacities = {
             report.index: report.capacity_ms for report in reports
         }
@@ -645,7 +608,6 @@ class ShardedScheduler:
             max_height_ms=makespan,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            iterations=sum(r.packer_passes for r in reports),
             packer_passes=sum(r.packer_passes for r in reports),
             bisection_steps=sum(r.bisection_steps for r in reports),
             shortcircuit_skips=sum(r.shortcircuit_skips for r in reports),

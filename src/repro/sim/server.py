@@ -57,6 +57,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
+from ..core.capacity import CapacitySearchResult
 from ..core.instance import SchedulingInstance
 from ..core.migration import Checkpoint, FailedTaskList
 from ..core.model import Job, PhoneSpec
@@ -94,31 +95,11 @@ class RoundRecord:
     #: Wall-clock time the scheduler spent producing this round's
     #: schedule (real time, not simulated time).
     scheduling_wall_ms: float = 0.0
-    #: Real Algorithm-1 packs the capacity search issued (0 for
-    #: schedulers that expose no diagnostics).
-    packer_passes: int = 0
-    #: Bracket updates the capacity bisection walked.
-    bisection_steps: int = 0
-    #: Whether a verified warm hint steered this round's search.
-    warm_started: bool = False
-    #: Packing backend the capacity search resolved to ("" for
-    #: schedulers that expose no diagnostics).
-    kernel: str = ""
-    #: Capacity the search converged to (0.0 for schedulers that expose
-    #: no diagnostics).
-    capacity_ms: float = 0.0
-    #: Pods the sharded scheduler solved this round (1 for monolithic
-    #: schedulers and for sharded rounds that delegated).
-    pods: int = 1
-    #: Job-to-pod splitter policy of the round ("none" unless sharded).
-    pod_assign: str = "none"
-    #: Slowest single pod solve this round (wall clock, ms).
-    pod_solve_ms_max: float = 0.0
-    #: Total pod solve time this round (wall clock, ms).
-    pod_solve_ms_sum: float = 0.0
-    #: Sharded makespan over the certification floor (0.0 when the
-    #: round was not certified).
-    shard_bound_ratio: float = 0.0
+    #: The scheduler's ``last_result`` after this round: the capacity
+    #: search's one record of its counters (a sharded scheduler's
+    #: result adds the pod diagnostics).  ``None`` for schedulers that
+    #: run no capacity search.
+    search: CapacitySearchResult | None = None
     #: Scheduling policy that produced this round ("" for schedulers
     #: that expose no name).
     policy: str = ""
@@ -129,6 +110,34 @@ class RoundRecord:
     #: constructed with ``record_instances=True`` (the verify oracle's
     #: tap); ``None`` otherwise to keep :class:`RunResult` light.
     instance: SchedulingInstance | None = None
+
+    # Search diagnostics, read from ``search`` with the defaults a
+    # scheduler without a capacity search reports.
+
+    @property
+    def capacity_ms(self) -> float:
+        """Capacity the search converged to."""
+        return getattr(self.search, "capacity_ms", 0.0)
+
+    @property
+    def kernel(self) -> str:
+        """Packing backend the search resolved to."""
+        return getattr(self.search, "kernel", "")
+
+    @property
+    def warm_started(self) -> bool:
+        """Whether a verified warm hint steered the search."""
+        return getattr(self.search, "warm_start_used", False)
+
+    @property
+    def packer_passes(self) -> int:
+        """Real Algorithm-1 packs the search issued."""
+        return getattr(self.search, "packer_passes", 0)
+
+    @property
+    def bisection_steps(self) -> int:
+        """Bracket updates the bisection walked."""
+        return getattr(self.search, "bisection_steps", 0)
 
 
 @dataclass
@@ -641,11 +650,10 @@ class CentralServer:
         samplers.add_probe(
             "outstanding_dispatches", lambda: float(self._outstanding)
         )
-        stats = getattr(self._scheduler, "stats", None)
-        if stats is not None:
+        if hasattr(self._scheduler, "last_result"):
             samplers.add_probe(
                 "capacity_probe_packs",
-                lambda: float(getattr(stats, "packer_passes", 0)),
+                lambda: float(sum(r.packer_passes for r in self._rounds)),
             )
         samplers.add_multi_probe(
             "phone_busy",
@@ -946,7 +954,6 @@ class CentralServer:
             schedule = self._scheduler.schedule(instance)
         scheduling_wall_ms = (time.perf_counter() - started) * 1000.0
         schedule.validate(instance)
-        search = getattr(self._scheduler, "last_result", None)
         directives = tuple(getattr(self._scheduler, "last_replicas", ()) or ())
         self._rounds.append(
             RoundRecord(
@@ -957,16 +964,7 @@ class CentralServer:
                 rescheduled=rescheduled,
                 job_ids=tuple(job.job_id for job in jobs),
                 scheduling_wall_ms=scheduling_wall_ms,
-                packer_passes=getattr(search, "packer_passes", 0),
-                bisection_steps=getattr(search, "bisection_steps", 0),
-                warm_started=getattr(search, "warm_start_used", False),
-                kernel=getattr(search, "kernel", ""),
-                capacity_ms=getattr(search, "capacity_ms", 0.0),
-                pods=getattr(search, "pods", 1),
-                pod_assign=getattr(search, "pod_assign", "none"),
-                pod_solve_ms_max=getattr(search, "pod_solve_ms_max", 0.0),
-                pod_solve_ms_sum=getattr(search, "pod_solve_ms_sum", 0.0),
-                shard_bound_ratio=getattr(search, "shard_bound_ratio", 0.0),
+                search=getattr(self._scheduler, "last_result", None),
                 policy=getattr(self._scheduler, "name", ""),
                 replicas=len(directives),
                 instance=instance if self._record_instances else None,
@@ -995,8 +993,8 @@ class CentralServer:
                 bisection_steps=record.bisection_steps,
                 warm_started=record.warm_started,
                 kernel=record.kernel,
-                pods=record.pods,
-                pod_assign=record.pod_assign,
+                pods=getattr(record.search, "pods", 1),
+                pod_assign=getattr(record.search, "pod_assign", "none"),
                 policy=record.policy,
                 replicas=record.replicas,
             )

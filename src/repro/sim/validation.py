@@ -2,13 +2,11 @@
 
 Anyone extending this reproduction — a new scheduler, a new failure
 model, a different dispatch policy — needs a way to know their change
-did not silently break the system's contracts.  Historically this
-module owned four hand-rolled checks; they are now **promoted** into
-the :mod:`repro.verify.invariants` registry (alongside newer run-scope
-invariants such as duplicate-credit and makespan-consistency), and
+did not silently break the system's contracts.
 :func:`check_run_invariants` delegates to the
-:class:`~repro.verify.oracle.Oracle` so the simulator, the fuzzer, and
-the test suite all enforce one catalogue:
+:class:`~repro.verify.oracle.Oracle`, so the simulator, the fuzzer and
+the test suite all enforce the one catalogue in
+:mod:`repro.verify.invariants`, which includes:
 
 * **sequential phones** — a phone never overlaps two spans;
 * **conservation** — completed + checkpointed + unfinished input equals
@@ -18,13 +16,9 @@ the test suite all enforce one catalogue:
 * **copy-before-execute** — every execution span on a phone is preceded
   by a copy of the same job's executable/input.
 
-:class:`TraceInvariantError` is now an alias of
+:class:`TraceInvariantError` is an alias of
 :class:`~repro.verify.invariants.InvariantViolation`, so existing
 ``except TraceInvariantError`` call sites keep working unchanged.
-
-The pre-migration implementations are retained below as ``_legacy_*``
-functions; ``tests/verify/test_validation_migration.py`` proves the old
-and new checkers agree verdict-for-verdict.
 """
 
 from __future__ import annotations
@@ -35,11 +29,8 @@ from ..core.model import Job
 from ..verify.invariants import InvariantViolation
 from ..verify.oracle import Oracle
 from .server import RunResult
-from .trace import SpanKind
 
 __all__ = ["TraceInvariantError", "check_run_invariants"]
-
-_TOL = 1e-6
 
 #: Backwards-compatible alias: a simulated run violated a CWC
 #: behavioural contract.
@@ -55,101 +46,3 @@ def check_run_invariants(result: RunResult, jobs: Sequence[Job]) -> None:
     """
     Oracle().check_run(result, jobs)
 
-
-# ---------------------------------------------------------------------------
-# Pre-migration implementations, kept only so the regression suite can
-# prove the promoted invariants agree with them.  Do not extend these —
-# add new checks to repro.verify.invariants instead.
-# ---------------------------------------------------------------------------
-
-
-def _legacy_sequential_phones(result: RunResult) -> None:
-    """Original sequential-phones check (pre-oracle)."""
-    for phone_id in result.trace.phone_ids():
-        spans = sorted(
-            result.trace.spans_for(phone_id), key=lambda s: s.start_ms
-        )
-        for earlier, later in zip(spans, spans[1:]):
-            if later.start_ms < earlier.end_ms - _TOL:
-                raise TraceInvariantError(
-                    f"phone {phone_id!r} overlaps spans: "
-                    f"[{earlier.start_ms}, {earlier.end_ms}] and "
-                    f"[{later.start_ms}, {later.end_ms}]"
-                )
-
-
-def _legacy_conservation(result: RunResult, jobs: Sequence[Job]) -> None:
-    """Original conservation-of-input check (pre-oracle)."""
-    total_input = sum(job.input_kb for job in jobs)
-    completed = sum(c.input_kb for c in result.trace.completions)
-    checkpointed = sum(f.processed_kb for f in result.trace.failures)
-    unfinished = sum(job.input_kb for job in result.unfinished_jobs)
-    accounted = completed + checkpointed + unfinished
-    if abs(accounted - total_input) > max(_TOL, total_input * 1e-9):
-        raise TraceInvariantError(
-            f"input not conserved: submitted {total_input:.3f} KB but "
-            f"accounted {accounted:.3f} KB (completed {completed:.3f} + "
-            f"checkpointed {checkpointed:.3f} + unfinished {unfinished:.3f})"
-        )
-
-
-def _legacy_no_zombie_work(result: RunResult) -> None:
-    """Original dark-window check (pre-oracle)."""
-    for failure in result.trace.failures:
-        rejoins = result.trace.rejoin_times_for(failure.phone_id)
-        next_rejoin = min(
-            (t for t in rejoins if t >= failure.detected_at_ms - _TOL),
-            default=None,
-        )
-        for span in result.trace.spans_for(failure.phone_id):
-            crosses = (
-                span.start_ms < failure.detected_at_ms - _TOL
-                and span.end_ms > failure.detected_at_ms + _TOL
-            )
-            if crosses and not span.interrupted:
-                raise TraceInvariantError(
-                    f"phone {failure.phone_id!r} has an uninterrupted span "
-                    f"[{span.start_ms}, {span.end_ms}] crossing its failure "
-                    f"detection at {failure.detected_at_ms}"
-                )
-            starts_dark = span.start_ms > failure.detected_at_ms + _TOL and (
-                next_rejoin is None or span.start_ms < next_rejoin - _TOL
-            )
-            if starts_dark:
-                raise TraceInvariantError(
-                    f"phone {failure.phone_id!r} started a span at "
-                    f"{span.start_ms} while dark (failed at "
-                    f"{failure.detected_at_ms}, "
-                    + (
-                        "never rejoined)"
-                        if next_rejoin is None
-                        else f"rejoined at {next_rejoin})"
-                    )
-                )
-
-
-def _legacy_copy_before_execute(result: RunResult) -> None:
-    """Original copy-before-execute check (pre-oracle)."""
-    for phone_id in result.trace.phone_ids():
-        spans = sorted(
-            result.trace.spans_for(phone_id), key=lambda s: s.start_ms
-        )
-        copied_jobs: set[str] = set()
-        for span in spans:
-            if span.kind is SpanKind.COPY:
-                copied_jobs.add(span.job_id)
-            elif span.job_id not in copied_jobs:
-                raise TraceInvariantError(
-                    f"phone {phone_id!r} executed job {span.job_id!r} at "
-                    f"{span.start_ms} without ever copying it"
-                )
-
-
-def _legacy_check_run_invariants(
-    result: RunResult, jobs: Sequence[Job]
-) -> None:
-    """The pre-migration validator, verbatim (for agreement tests)."""
-    _legacy_sequential_phones(result)
-    _legacy_conservation(result, jobs)
-    _legacy_no_zombie_work(result)
-    _legacy_copy_before_execute(result)

@@ -219,14 +219,3 @@ class TestCertificates:
             reference.schedule
         )
         assert result.packer_passes < reference.packer_passes
-
-    def test_lp_floor_preserves_schedule(self):
-        instance = make_instance(
-            n_breakable=6, n_atomic=2, n_phones=5, seed=21
-        )
-        with_lp = CapacitySearch(lp_floor=True).run(instance)
-        without = CapacitySearch().run(instance)
-        assert with_lp.capacity_ms == without.capacity_ms
-        assert schedule_to_dict(with_lp.schedule) == schedule_to_dict(
-            without.schedule
-        )

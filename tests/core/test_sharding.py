@@ -1,13 +1,21 @@
 """Tests for the sharded pod-parallel scheduler (core/sharding.py)."""
 
+import dataclasses
 import json
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core.capacity import CapacitySearch, available_cpus
+from repro.core import capacity
+from repro.core.capacity import (
+    CapacitySearch,
+    CapacitySearchResult,
+    available_cpus,
+    capacity_bounds,
+)
 from repro.core.greedy import CwcScheduler
+from repro.core.packing import GreedyPacker
 from repro.core.pod import (
     PodSpec,
     assemble_schedule,
@@ -21,6 +29,7 @@ from repro.core.pod import (
 from repro.core.serialize import schedule_to_dict
 from repro.core.sharding import (
     ShardedScheduler,
+    ShardedSearchResult,
     _assign_greedy,
     _assign_hash,
 )
@@ -107,20 +116,6 @@ class TestPodMechanics:
             inv = np.where(rate > 0, 1.0 / rate, 0.0)
             np.testing.assert_allclose(agg[p], inv.sum(axis=0))
 
-    def test_solve_pod_keeps_array_pool_clean(self, fleet_instance):
-        search = CapacitySearch(kernel="numpy")
-        spec = PodSpec(
-            index=0,
-            phone_positions=tuple(range(6)),
-            job_positions=tuple(range(len(fleet_instance.jobs))),
-        )
-        report = solve_pod(fleet_instance, spec, search)
-        assert report.leaked_buffers == 0
-        assert search.array_pool.leaked_buffers() == 0
-        # A second solve on the same search recycles buffers.
-        again = solve_pod(fleet_instance, spec, search)
-        assert again.pool_hits > report.pool_hits
-
     def test_assemble_schedule_orders_by_pod_index(self, fleet_instance):
         search = CapacitySearch()
         pods = partition_phones(len(fleet_instance.phones), 2)
@@ -157,6 +152,37 @@ class TestShardedScheduler:
             fleet_instance
         )
         assert canonical(sharded) == canonical(mono)
+
+    def test_result_extends_the_search_record(self):
+        """The sharded result declares only the sharding fields."""
+        base = {f.name for f in dataclasses.fields(CapacitySearchResult)}
+        own = set(ShardedSearchResult.__annotations__)
+        assert base.isdisjoint(own)
+        assert base < {f.name for f in dataclasses.fields(ShardedSearchResult)}
+
+    def test_monolithic_delegation_carries_cold_reruns(
+        self, small_instance, monkeypatch
+    ):
+        cold = CapacitySearch(kernel="python").run(small_instance)
+        # A warm hint below the converged capacity that the packer
+        # wrongly reports feasible forces the search's cold rerun.
+        hint = capacity_bounds(small_instance)[0]
+
+        class LiesAtHint(GreedyPacker):
+            def pack(self, capacity_ms):
+                if capacity_ms == hint:
+                    return super().pack(cold.capacity_ms)
+                return super().pack(capacity_ms)
+
+        monkeypatch.setitem(capacity._KERNEL_CLASSES, "python", LiesAtHint)
+        scheduler = ShardedScheduler(pods=1, warm_start=True, kernel="python")
+        scheduler.restore_warm_state({"last_capacity_ms": hint})
+        schedule = scheduler.schedule(small_instance)
+        result = scheduler.last_result
+        assert isinstance(result, ShardedSearchResult)
+        assert result.pods == 1
+        assert result.cold_reruns == 1
+        assert canonical(schedule) == canonical(cold.schedule)
 
     def test_small_fleet_auto_resolves_to_monolithic(self, small_instance):
         scheduler = ShardedScheduler(pods="auto")
@@ -236,8 +262,6 @@ class TestShardedScheduler:
         pooled_scheduler = ShardedScheduler(pods=3, pod_workers=2)
         pooled = pooled_scheduler.schedule(fleet_instance)
         assert canonical(pooled) == canonical(serial)
-        for report in pooled_scheduler.last_result.pod_reports:
-            assert report.leaked_buffers == 0
 
     def test_warm_state_round_trip(self, fleet_instance):
         warm = ShardedScheduler(
@@ -265,12 +289,15 @@ class TestShardedScheduler:
                 {"last_capacity_ms": None, "pod_capacities": {"0": -5.0}}
             )
 
-    def test_stats_accumulate_over_rounds(self, fleet_instance):
+    def test_each_round_reports_its_packs(self, fleet_instance):
         scheduler = ShardedScheduler(pods=2, pod_workers=None)
-        scheduler.schedule(fleet_instance)
-        scheduler.schedule(fleet_instance)
-        assert scheduler.stats.rounds == 2
-        assert scheduler.stats.packer_passes > 0
+        for _ in range(2):
+            scheduler.schedule(fleet_instance)
+            result = scheduler.last_result
+            assert result.packer_passes == sum(
+                report.packer_passes for report in result.pod_reports
+            )
+            assert result.packer_passes > 0
 
     def test_certify_off_skips_lp_floor(self, fleet_instance):
         scheduler = ShardedScheduler(

@@ -11,7 +11,6 @@ import pytest
 from repro.core.capacity import CapacitySearch
 from repro.core.greedy import CwcScheduler
 from repro.core.model import Job, JobKind, PhoneSpec
-from repro.core.packing import GreedyPacker
 from repro.core.prediction import RuntimePredictor, TaskProfile
 from repro.obs import Telemetry
 from repro.sim.campaign import OvernightCampaign, merge_campaign_metrics
@@ -56,17 +55,6 @@ class TestCapacityAndSchedulerMetrics:
             == 1
         )
         assert registry.gauge_value("schedule_last_capacity_ms") > 0
-
-    def test_packer_stats_always_on(self):
-        instance = make_instance(
-            n_breakable=4, n_atomic=2, n_phones=4, seed=5
-        )
-        packer = GreedyPacker(instance)
-        result = packer.pack(1e9)
-        assert packer.packs_issued == 1
-        assert packer.last_pack_wall_ms >= 0.0
-        assert packer.total_pack_wall_ms >= packer.last_pack_wall_ms
-        assert packer.last_pack_feasible == result.feasible
 
 
 class TestEngineCounters:

@@ -1,5 +1,6 @@
 """The server's RoundRecord carries sharding context end to end."""
 
+from repro.core.capacity import CapacitySearchResult
 from repro.core.greedy import CwcScheduler
 from repro.core.sharding import ShardedScheduler
 from repro.sim.server import CentralServer
@@ -11,12 +12,10 @@ def test_round_record_defaults_for_monolithic_scheduler():
     phones, truth, predictor, b = make_setup()
     server = CentralServer(phones, truth, predictor, CwcScheduler(), b)
     result = server.run(make_jobs())
-    record = result.rounds[0]
-    assert record.pods == 1
-    assert record.pod_assign == "none"
-    assert record.pod_solve_ms_max == 0.0
-    assert record.pod_solve_ms_sum == 0.0
-    assert record.shard_bound_ratio == 0.0
+    search = result.rounds[0].search
+    # A monolithic search carries no sharding context at all.
+    assert type(search) is CapacitySearchResult
+    assert not hasattr(search, "pods")
 
 
 def test_round_record_reports_sharding_context():
@@ -24,12 +23,12 @@ def test_round_record_reports_sharding_context():
     scheduler = ShardedScheduler(pods=2, pod_workers=None)
     server = CentralServer(phones, truth, predictor, scheduler, b)
     result = server.run(make_jobs(n_breakable=6, n_atomic=2))
-    record = result.rounds[0]
-    assert record.pods == 2
-    assert record.pod_assign == "greedy"
-    assert record.pod_solve_ms_max > 0.0
-    assert record.pod_solve_ms_sum >= record.pod_solve_ms_max
-    assert record.shard_bound_ratio >= 1.0 - 1e-9
+    search = result.rounds[0].search
+    assert search.pods == 2
+    assert search.pod_assign == "greedy"
+    assert search.pod_solve_ms_max > 0.0
+    assert search.pod_solve_ms_sum >= search.pod_solve_ms_max
+    assert search.shard_bound_ratio >= 1.0 - 1e-9
     assert len(result.unfinished_jobs) == 0
 
 
@@ -51,8 +50,8 @@ def test_round_record_sharded_pods1_reports_monolithic_context():
     scheduler = ShardedScheduler(pods=1)
     server = CentralServer(phones, truth, predictor, scheduler, b)
     result = server.run(make_jobs())
-    record = result.rounds[0]
-    assert record.pods == 1
-    assert record.pod_assign == "none"
+    search = result.rounds[0].search
+    assert search.pods == 1
+    assert search.pod_assign == "none"
     # Monolithic delegation still reports a diagnostic ratio.
-    assert record.shard_bound_ratio > 0.0
+    assert search.shard_bound_ratio > 0.0

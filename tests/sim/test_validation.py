@@ -102,3 +102,33 @@ class TestViolationsDetected:
     def test_clean_empty_run(self):
         result = RunResult(trace=TimelineTrace(), rounds=[])
         check_run_invariants(result, ())
+
+    def test_duplicate_credit_detected(self):
+        """A ghost credit that conservation alone would balance."""
+        from repro.sim.trace import CompletionRecord
+
+        job = Job("j", "primes", JobKind.BREAKABLE, 10.0, 100.0)
+        trace = TimelineTrace()
+        trace.add_completion(
+            CompletionRecord("p", "j", 10.0, 100.0, 5.0), at_ms=10.0
+        )
+        trace.add_completion(
+            CompletionRecord("q", "ghost", 11.0, 0.0, 5.0), at_ms=11.0
+        )
+        result = RunResult(trace=trace, rounds=[])
+        with pytest.raises(TraceInvariantError, match="unknown job"):
+            check_run_invariants(result, (job,))
+
+
+class TestCompatibility:
+    def test_error_type_is_aliased(self):
+        from repro.verify.invariants import InvariantViolation
+
+        assert TraceInvariantError is InvariantViolation
+        assert issubclass(TraceInvariantError, AssertionError)
+
+    def test_sim_package_reexports_alias(self):
+        import repro.sim
+        from repro.verify.invariants import InvariantViolation
+
+        assert repro.sim.TraceInvariantError is InvariantViolation
