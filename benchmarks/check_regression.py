@@ -31,10 +31,10 @@ Both files must declare the schema-2 layout (``{"schema": 2,
 incomparable numbers.
 
 Schema-2 context fields: alongside the timings, records may carry
-search-configuration context — ``kernel``.  Sharded
-records add ``pods`` (resolved pod count), ``pod_assign`` (job
-splitter policy), ``pod_solve_ms_max`` (the slowest single pod — the
-critical path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the
+search-configuration context — ``kernel``.  Sharded records add
+``pods`` (resolved pod count; the job splitter is fixed, so no policy
+field), ``pod_solve_ms_max`` (the slowest single pod — the critical
+path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the
 serial-equivalent pod cost), ``shard_bound_ratio``
 (makespan over the pod-aggregated LP floor; the certified quality of
 the sharded schedule, always >= 1), ``solve_critical_path_s`` (the

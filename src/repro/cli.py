@@ -38,10 +38,9 @@ Nine commands cover the operator workflows:
   kill/restore-drills each scenario through the durability layer,
   asserting byte-identical recovery.
 
-``schedule`` and ``simulate`` take ``--pods N|auto`` +
-``--pod-assign lp|greedy|hash`` to shard the fleet into concurrently
-solved pods (the greedy scheduler only; ``--pods 1`` is byte-identical
-to the monolithic search).
+``schedule`` and ``simulate`` take ``--pods N|auto`` to shard the
+fleet into concurrently solved pods (the greedy scheduler only;
+``--pods 1`` is byte-identical to the monolithic search).
 
 Commands accept ``--output`` to write machine-readable results so they
 can feed other tools.
@@ -105,20 +104,13 @@ def _pods(text: str):
 
 
 def _add_pod_arguments(parser) -> None:
-    """Fleet-sharding knobs shared by ``schedule`` and ``simulate``."""
+    """Fleet-sharding knob shared by ``schedule`` and ``simulate``."""
     parser.add_argument(
         "--pods", type=_pods, metavar="N|auto",
         help="shard the fleet into N pods solved concurrently and "
         "coordinated by a global capacity search (greedy scheduler "
         "only; 'auto' sizes the pod count from the CPU budget, and "
         "--pods 1 is byte-identical to the monolithic scheduler)",
-    )
-    parser.add_argument(
-        "--pod-assign", choices=("lp", "greedy", "hash"),
-        default="greedy",
-        help="job-to-pod splitter: LP-guided ('lp'), longest-"
-        "processing-time greedy ('greedy', default), or stable "
-        "hashing ('hash'); ignored without --pods",
     )
 
 
@@ -504,9 +496,7 @@ def _cmd_schedule(args) -> int:
         if args.pods is not None:
             from .core.sharding import ShardedScheduler
 
-            scheduler = ShardedScheduler(
-                pods=args.pods, pod_assign=args.pod_assign, kernel=args.kernel
-            )
+            scheduler = ShardedScheduler(pods=args.pods, kernel=args.kernel)
         else:
             scheduler = scheduler_cls(kernel=args.kernel)
     else:
@@ -578,7 +568,6 @@ def _cmd_simulate_campaign(args) -> int:
         warm_start=True,
         checkpoint_dir=args.checkpoint_dir,
         pods=args.pods,
-        pod_assign=args.pod_assign,
     )
 
     class _Killed(RuntimeError):
@@ -713,7 +702,6 @@ def _cmd_simulate(args) -> int:
 
             scheduler = ShardedScheduler(
                 pods=args.pods,
-                pod_assign=args.pod_assign,
                 warm_start=args.warm_start,
                 kernel=args.kernel,
                 telemetry=telemetry,
@@ -1099,6 +1087,7 @@ def _cmd_fuzz(args) -> int:
         f"{len(report.failures)} failing"
     )
     print(f"campaign digest: {report.campaign_digest}")
+    print(f"capacity-search cold reruns: {report.cold_reruns}")
     for outcome in report.failures:
         print(f"  seed {outcome.scenario.seed}:")
         for violation in outcome.violations:
@@ -1139,6 +1128,7 @@ def _cmd_fuzz(args) -> int:
             "runs": report.runs,
             "seed": report.seed,
             "campaign_digest": report.campaign_digest,
+            "cold_reruns": report.cold_reruns,
             "failures": [
                 {
                     "seed": outcome.scenario.seed,

@@ -15,9 +15,9 @@ capacity-search machinery.  This module owns the mechanical pieces:
   per-(pod, job) aggregate tables the job splitter and the
   pod-aggregated LP consume;
 * :func:`solve_pod` and the ``_pod_worker_*`` process-pool hooks — one
-  pod's capacity search, returning a slim picklable
-  :class:`PodSolveReport` whose assignments the parent reassembles
-  into the global schedule.
+  pod's capacity search, returning a picklable :class:`PodSolveReport`
+  that carries the search's result; the parent concatenates the pod
+  schedules into the global one.
 
 Workers inherit the *full* instance from a ``fork`` pool copy-on-write
 (and slice their pod's rows per task), and each worker builds one
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.tracing import Tracer, maybe_span
-from .capacity import CapacitySearch, available_cpus
+from .capacity import CapacitySearch, CapacitySearchResult, available_cpus
 from .instance import SchedulingInstance, _DenseCostMap
 from .schedule import Assignment, Schedule
 
@@ -69,46 +69,21 @@ class PodSpec:
 
 @dataclass(frozen=True)
 class PodSolveReport:
-    """Slim picklable outcome of one pod's capacity search.
+    """Picklable outcome of one pod's capacity search.
 
-    ``assignments`` is the pod schedule flattened to
-    ``(phone_id, job_id, task, input_kb, whole)`` tuples in placement
-    order; the parent rebuilds :class:`~repro.core.schedule.Assignment`
-    records and concatenates pods in index order.  The search counters
-    are flat fields rather than a nested result because the report
-    crosses the process boundary.
+    ``search`` is the pod search's own result, schedule and counters
+    included; the parent concatenates the pod schedules in index order
+    and sums the counters.
     """
 
     index: int
-    assignments: tuple[tuple[str, str, str, float, bool], ...]
-    capacity_ms: float
-    max_height_ms: float
-    lower_bound_ms: float
-    packer_passes: int
-    bisection_steps: int
-    shortcircuit_skips: int
-    assumed_feasible: int
-    warm_start_used: bool
-    kernel: str
+    search: CapacitySearchResult
     wall_ms: float
     #: Worker-side trace spans (plain dicts) for pooled solves with
     #: tracing armed; the parent adopts them parent-linked.  Serial
     #: solves record straight into the caller's tracer and leave this
     #: empty.
     spans: tuple = ()
-
-    def build_assignments(self) -> tuple[Assignment, ...]:
-        """Rehydrate the flattened assignment tuples."""
-        return tuple(
-            Assignment(
-                phone_id=phone_id,
-                job_id=job_id,
-                task=task,
-                input_kb=input_kb,
-                whole=whole,
-            )
-            for phone_id, job_id, task, input_kb, whole in self.assignments
-        )
 
 
 def resolve_pod_count(pods: int | str, n_phones: int) -> int:
@@ -244,7 +219,7 @@ def solve_pod(
     warm_hint_ms: float | None = None,
     tracer: Tracer | None = None,
 ) -> PodSolveReport:
-    """Run one pod's capacity search and flatten the outcome.
+    """Run one pod's capacity search and time it.
 
     ``search`` is reused across calls (per worker process, or the
     sharded scheduler's serial solver).
@@ -268,23 +243,7 @@ def solve_pod(
         )
         result = search.run(sub, warm_hint_ms=warm_hint_ms)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    return PodSolveReport(
-        index=spec.index,
-        assignments=tuple(
-            (a.phone_id, a.job_id, a.task, a.input_kb, a.whole)
-            for a in result.schedule
-        ),
-        capacity_ms=result.capacity_ms,
-        max_height_ms=result.max_height_ms,
-        lower_bound_ms=result.lower_bound_ms,
-        packer_passes=result.packer_passes,
-        bisection_steps=result.bisection_steps,
-        shortcircuit_skips=result.shortcircuit_skips,
-        assumed_feasible=result.assumed_feasible,
-        warm_start_used=result.warm_start_used,
-        kernel=result.kernel,
-        wall_ms=wall_ms,
-    )
+    return PodSolveReport(index=spec.index, search=result, wall_ms=wall_ms)
 
 
 def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
@@ -297,7 +256,7 @@ def assemble_schedule(reports: list[PodSolveReport]) -> Schedule:
     """
     assignments: list[Assignment] = []
     for report in sorted(reports, key=lambda r: r.index):
-        assignments.extend(report.build_assignments())
+        assignments.extend(report.search.schedule)
     return Schedule(assignments)
 
 

@@ -6,29 +6,19 @@ single-solve cost.  :class:`ShardedScheduler` decouples them:
 
 1. **Partition** the fleet into pods (round-robin by phone position —
    :func:`repro.core.pod.partition_phones`);
-2. **Split** the jobs across pods with one of three policies
-   (``pod_assign=``):
-
-   * ``'lp'`` — solve the pod-aggregated LP relaxation
-     (:func:`repro.core.lp_bound.solve_pod_relaxed_makespan`) and send
-     each job to the pod holding the largest fractional allocation
-     ``l_pj``; the LP optimum doubles as the certification floor;
-   * ``'greedy'`` (default) — longest-processing-time-first against
-     per-pod estimated work ``E_j * bmin_p + L_j / agg_pj`` (the job's
-     magical-bin time inside the pod) — the dual-guided balance the
-     LP's load constraints price, without an LP solve per round;
-   * ``'hash'`` — ``crc32(job_id) % pods``: stateless, splitter-free
-     placement for comparison (and ``PYTHONHASHSEED``-independent);
-
+2. **Split** the jobs across pods: longest-processing-time-first
+   against per-pod estimated work ``E_j * bmin_p + L_j / agg_pj`` (the
+   job's magical-bin time inside the pod) — the balance the pod LP's
+   load constraints price, without an LP solve per round;
 3. **Solve** each pod's sub-instance with the existing kernels — on a
    fork process pool when CPUs allow (workers inherit the full
    instance copy-on-write and slice their pod's rows), serially
    otherwise, with identical results either way;
 4. **Coordinate** with a cheap global capacity search over the
    per-pod converged capacities: the global capacity is their max, and
-   bounded job-migration repair rounds move one job at a time from the
-   argmax pod toward the argmin pod, re-solving only those two pods
-   and keeping the move only when the global capacity improves.
+   one job-migration repair move takes one job from the argmax pod
+   toward the argmin pod, re-solving only those two pods and keeping
+   the move only when the global capacity improves.
 
 Certification: the pod-LP optimum ``T_pod`` is a valid lower bound on
 the optimal makespan of the *full* instance (machines were only ever
@@ -50,7 +40,6 @@ with identical knobs, so schedules are byte-identical by construction
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +63,7 @@ from .schedule import Schedule
 
 __all__ = ["ShardedScheduler", "ShardedSearchResult"]
 
-_POD_ASSIGN_POLICIES = ("lp", "greedy", "hash")
-
-#: A repair round only fires when the capacity spread justifies two
+#: The repair move only fires when the capacity spread justifies two
 #: extra pod solves.
 _REBALANCE_MIN_GAP = 1.05
 
@@ -93,8 +80,6 @@ class ShardedSearchResult(CapacitySearchResult):
 
     #: Resolved pod count this round (1 = monolithic delegation).
     pods: int = 1
-    #: Job-to-pod policy the round used.
-    pod_assign: str = "none"
     #: Slowest single pod solve (the critical path under a pool).
     pod_solve_ms_max: float = 0.0
     #: Total pod solve time (the serial-equivalent cost).
@@ -104,8 +89,10 @@ class ShardedSearchResult(CapacitySearchResult):
     shard_bound_ratio: float = 0.0
     #: Pod-LP optimum when it was solved this round, else ``None``.
     lp_floor_ms: float | None = None
-    #: Job-migration repair rounds the global search accepted.
+    #: Job-migration repair moves the global search accepted (0 or 1).
     rebalance_moves: int = 0
+    #: Pooled pod solves that failed and fell back to the serial path.
+    pod_pool_fallbacks: int = 0
     #: Per-pod diagnostics, pod-index order.
     pod_reports: tuple[PodSolveReport, ...] = ()
 
@@ -122,22 +109,15 @@ class ShardedScheduler:
         resolves to 1 the round delegates to the inner monolithic
         :class:`~repro.core.greedy.CwcScheduler` (byte-identical
         schedules).
-    pod_assign:
-        Job-to-pod splitter: ``'lp'``, ``'greedy'`` (default), or
-        ``'hash'`` (see the module docstring).
     pod_workers:
         Process-pool size for concurrent pod solves; ``'auto'``
         (default) sizes from :func:`~repro.core.capacity.
         available_cpus` and stays in-process on single-CPU hosts.
         ``None``/1 forces the serial path.  Results are identical
         either way.
-    rebalance_rounds:
-        Max job-migration repair rounds of the global capacity search
-        (default 1; 0 disables repair).
     certify:
         Solve the pod-aggregated LP each sharded round to certify the
-        makespan (``shard_bound_ratio``).  Default ``True``;
-        ``pod_assign='lp'`` gets the floor for free either way.
+        makespan (``shard_bound_ratio``).  Default ``True``.
     epsilon_ms / min_partition_kb / max_iterations / ram / warm_start /
     kernel / telemetry:
         As on :class:`~repro.core.greedy.CwcScheduler`; they configure
@@ -156,9 +136,7 @@ class ShardedScheduler:
         self,
         *,
         pods: int | str = "auto",
-        pod_assign: str = "greedy",
         pod_workers: int | str | None = "auto",
-        rebalance_rounds: int = 1,
         certify: bool = True,
         epsilon_ms: float = 1.0,
         min_partition_kb: float | None = None,
@@ -177,11 +155,6 @@ class ShardedScheduler:
                 "alternative policies monolithically (pods=None) via "
                 "repro.core.policies.make_policy."
             )
-        if pod_assign not in _POD_ASSIGN_POLICIES:
-            raise ValueError(
-                f"unknown pod_assign {pod_assign!r}; "
-                f"expected one of {_POD_ASSIGN_POLICIES}"
-            )
         if pods != "auto" and int(pods) < 1:
             raise ValueError(f"pods must be >= 1 or 'auto', got {pods!r}")
         if pod_workers not in (None, "auto") and int(pod_workers) < 1:
@@ -189,12 +162,8 @@ class ShardedScheduler:
                 f"pod_workers must be >= 1, 'auto', or None, "
                 f"got {pod_workers!r}"
             )
-        if rebalance_rounds < 0:
-            raise ValueError("rebalance_rounds must be >= 0")
         self._pods = pods
-        self._pod_assign = pod_assign
         self._pod_workers = pod_workers
-        self._rebalance_rounds = rebalance_rounds
         self._certify = certify
         self._warm_start = warm_start
         #: Monolithic delegate for resolved pod count 1 — byte-identical
@@ -315,44 +284,29 @@ class ShardedScheduler:
                     len(instance.phones), n_pods
                 )
                 bmin, cmin, agg = pod_rate_tables(instance, pods_phones)
-
-                lp_floor_ms: float | None = None
-                job_pods: np.ndarray | None = None
-                if self._pod_assign == "lp":
-                    solution = self._solve_pod_lp(
-                        instance, pods_phones, bmin, cmin
-                    )
-                    if solution is not None:
-                        lp_floor_ms = solution.makespan_ms
-                        # Send each job to the pod the relaxation leans
-                        # on hardest; first-max wins for determinism.
-                        job_pods = np.argmax(solution.l_kb, axis=0)
-                if job_pods is None:
-                    if self._pod_assign == "hash":
-                        job_pods = _assign_hash(instance, n_pods)
-                    else:  # 'greedy', and the 'lp' fallback
-                        job_pods = _assign_greedy(instance, bmin, agg)
-
-                specs = _build_specs(pods_phones, job_pods)
+                specs = _build_specs(
+                    pods_phones, _assign_greedy(instance, bmin, agg)
+                )
             hints = (
                 dict(self._last_pod_capacities) if self._warm_start else {}
             )
             with maybe_span(
                 tracer, "pod_solves", category="pod", pods=len(specs)
             ) as solves_span:
-                reports = self._solve_pods(
+                reports, fallbacks = self._solve_pods(
                     instance, specs, hints, trace_parent=solves_span
                 )
             with maybe_span(
                 tracer, "rebalance", category="pod"
             ) as rebalance_span:
                 specs, reports, moves = self._global_capacity_search(
-                    instance, specs, reports, bmin, agg, hints
+                    instance, specs, reports, bmin, agg
                 )
                 if rebalance_span is not None:
                     rebalance_span.set_attr("moves", moves)
 
-            if lp_floor_ms is None and self._certify:
+            lp_floor_ms: float | None = None
+            if self._certify:
                 solution = self._solve_pod_lp(
                     instance, pods_phones, bmin, cmin
                 )
@@ -364,7 +318,7 @@ class ShardedScheduler:
             if round_span is not None:
                 round_span.set_attr(
                     "capacity_ms",
-                    max(report.capacity_ms for report in reports),
+                    max(report.search.capacity_ms for report in reports),
                 )
             # wall_ms is the scheduling work proper; the result
             # bookkeeping below (dominated by capacity_bounds at fleet
@@ -381,11 +335,12 @@ class ShardedScheduler:
                     schedule,
                     lp_floor_ms,
                     moves,
+                    fallbacks,
                     wall_ms,
                 )
         self._last_result = result
         self._last_pod_capacities = {
-            report.index: report.capacity_ms for report in reports
+            report.index: report.search.capacity_ms for report in reports
         }
         return schedule
 
@@ -410,13 +365,15 @@ class ShardedScheduler:
         hints: dict[int, float],
         *,
         trace_parent=None,
-    ) -> list[PodSolveReport]:
+    ) -> tuple[list[PodSolveReport], int]:
         """Solve every pod, on the pool when it pays, serially otherwise.
 
         The pool path hands the full instance to a ``fork`` pool, whose
         workers inherit it copy-on-write, and ships each pod as a few
         integer tuples; any pool failure degrades to the serial path, which
-        produces identical reports.  ``trace_parent`` is the open
+        produces identical reports.  Returns the reports and the number
+        of such fallbacks (0 or 1), which is also counted in
+        ``pod_pool_fallbacks_total``.  ``trace_parent`` is the open
         ``pod_solves`` span worker-side spans are adopted under.
         """
         tel = self._tel
@@ -424,13 +381,16 @@ class ShardedScheduler:
         workers = self._pod_workers
         if workers == "auto":
             workers = default_pod_workers(len(specs))
+        fallbacks = 0
         if workers is not None and workers >= 2 and len(specs) >= 2:
             reports = self._solve_pods_pooled(
                 instance, specs, hints, workers, trace_parent=trace_parent
             )
             if reports is not None:
-                return reports
-        return [
+                return reports, fallbacks
+            fallbacks = 1
+            tel.inc("pod_pool_fallbacks_total")
+        reports = [
             solve_pod(
                 instance,
                 spec,
@@ -440,6 +400,7 @@ class ShardedScheduler:
             )
             for spec in specs
         ]
+        return reports, fallbacks
 
     def _solve_pods_pooled(
         self, instance, specs, hints, workers, *, trace_parent=None
@@ -491,78 +452,65 @@ class ShardedScheduler:
             reports = rehomed
         return reports
 
-    def _global_capacity_search(
-        self, instance, specs, reports, bmin, agg, hints
-    ):
-        """Min-max repair over per-pod capacities (bounded, monotone).
+    def _global_capacity_search(self, instance, specs, reports, bmin, agg):
+        """One min-max repair move over the per-pod capacities.
 
-        The global capacity is the max over pods; each repair round
-        moves the single job that best fills half the gap from the
-        argmax pod to the argmin pod, re-solves exactly those two pods
-        (warm-hinted with their previous capacities), and keeps the
-        move only when the global capacity strictly improves.  Repair
-        is deterministic: ties break on job position.
+        The global capacity is the max over pods.  When the spread
+        exceeds ``_REBALANCE_MIN_GAP``, the job that best fills half
+        the gap moves from the argmax pod to the argmin pod, exactly
+        those two pods are re-solved (warm-hinted with their previous
+        capacities), and the move is kept only when the global
+        capacity strictly improves; otherwise ``specs`` and ``reports``
+        come back unchanged.  Ties break on job position, so repair is
+        deterministic.  Returns ``(specs, reports, moves)``.
         """
-        moves = 0
-        if self._rebalance_rounds < 1 or len(reports) < 2:
-            return specs, reports, moves
+        if len(reports) < 2:
+            return specs, reports, 0
+        capacities = [report.search.capacity_ms for report in reports]
+        hi_k = max(range(len(reports)), key=lambda k: capacities[k])
+        lo_k = min(range(len(reports)), key=lambda k: capacities[k])
+        if capacities[hi_k] <= capacities[lo_k] * _REBALANCE_MIN_GAP:
+            return specs, reports, 0
+        hi_spec, lo_spec = specs[hi_k], specs[lo_k]
+        gap = capacities[hi_k] - capacities[lo_k]
         exe, load = instance.job_load_arrays()
-        for _ in range(self._rebalance_rounds):
-            capacities = [report.capacity_ms for report in reports]
-            hi_k = max(range(len(reports)), key=lambda k: capacities[k])
-            lo_k = min(range(len(reports)), key=lambda k: capacities[k])
-            gap = capacities[hi_k] - capacities[lo_k]
-            if (
-                hi_k == lo_k
-                or capacities[hi_k]
-                <= capacities[lo_k] * _REBALANCE_MIN_GAP
-            ):
-                break
-            hi_spec, lo_spec = specs[hi_k], specs[lo_k]
-            job_pos = _pick_migration_job(
-                hi_spec, lo_spec, exe, load, bmin, agg, gap
+        job_pos = _pick_migration_job(
+            hi_spec, lo_spec, exe, load, bmin, agg, gap
+        )
+        if job_pos is None or len(hi_spec.job_positions) < 2:
+            # Never empty a pod: its report would vanish.
+            return specs, reports, 0
+        new_hi = PodSpec(
+            index=hi_spec.index,
+            phone_positions=hi_spec.phone_positions,
+            job_positions=tuple(
+                j for j in hi_spec.job_positions if j != job_pos
+            ),
+        )
+        new_lo = PodSpec(
+            index=lo_spec.index,
+            phone_positions=lo_spec.phone_positions,
+            job_positions=tuple(sorted(lo_spec.job_positions + (job_pos,))),
+        )
+        tel = self._tel
+        tracer = tel.tracer if tel.enabled else None
+        trial = list(reports)
+        trial[hi_k], trial[lo_k] = (
+            solve_pod(
+                instance,
+                spec,
+                self._local_search,
+                warm_hint_ms=capacities[k],
+                tracer=tracer,
             )
-            if job_pos is None:
-                break
-            new_hi = PodSpec(
-                index=hi_spec.index,
-                phone_positions=hi_spec.phone_positions,
-                job_positions=tuple(
-                    j for j in hi_spec.job_positions if j != job_pos
-                ),
-            )
-            new_lo = PodSpec(
-                index=lo_spec.index,
-                phone_positions=lo_spec.phone_positions,
-                job_positions=tuple(
-                    sorted(lo_spec.job_positions + (job_pos,))
-                ),
-            )
-            if not new_hi.job_positions:
-                break  # never empty a pod: its report would vanish
-            tel = self._tel
-            tracer = tel.tracer if tel.enabled else None
-            resolved = [
-                solve_pod(
-                    instance,
-                    spec,
-                    self._local_search,
-                    warm_hint_ms=reports[k].capacity_ms,
-                    tracer=tracer,
-                )
-                for spec, k in ((new_hi, hi_k), (new_lo, lo_k))
-            ]
-            old_max = max(capacities)
-            trial = list(reports)
-            trial[hi_k], trial[lo_k] = resolved
-            new_max = max(report.capacity_ms for report in trial)
-            if new_max >= old_max:
-                break  # the move did not help; keep the solved pods
-            specs = list(specs)
-            specs[hi_k], specs[lo_k] = new_hi, new_lo
-            reports = trial
-            moves += 1
-        return specs, reports, moves
+            for spec, k in ((new_hi, hi_k), (new_lo, lo_k))
+        )
+        new_max = max(report.search.capacity_ms for report in trial)
+        if new_max >= capacities[hi_k]:
+            return specs, reports, 0  # the move did not help
+        specs = list(specs)
+        specs[hi_k], specs[lo_k] = new_hi, new_lo
+        return specs, trial, 1
 
     def _finish_round(
         self,
@@ -573,24 +521,26 @@ class ShardedScheduler:
         schedule,
         lp_floor_ms,
         moves,
+        fallbacks,
         wall_ms,
     ) -> ShardedSearchResult:
-        capacity = max(report.capacity_ms for report in reports)
-        makespan = max(report.max_height_ms for report in reports)
+        searches = [report.search for report in reports]
+        capacity = max(search.capacity_ms for search in searches)
+        makespan = max(search.max_height_ms for search in searches)
         floor = lp_floor_ms
         if floor is None:
             # Diagnostic fallback only: the magical-bin bracket is not
             # a certified floor (see the differential harness).
             floor = instance.capacity_bounds()[0]
         ratio = makespan / floor if floor > 0 else 0.0
-        kernels = {report.kernel for report in reports}
+        kernels = {search.kernel for search in searches}
         tel = self._tel
         if tel.enabled:
             for spec, report in zip(specs, reports):
                 pod = str(report.index)
                 tel.observe("pod_solve_ms", report.wall_ms, pod=pod)
                 tel.observe(
-                    "pod_capacity_ms", report.capacity_ms, pod=pod
+                    "pod_capacity_ms", report.search.capacity_ms, pod=pod
                 )
                 tel.inc(
                     "pod_jobs_total",
@@ -608,38 +558,27 @@ class ShardedScheduler:
             max_height_ms=makespan,
             lower_bound_ms=bounds[0],
             upper_bound_ms=bounds[1],
-            packer_passes=sum(r.packer_passes for r in reports),
-            bisection_steps=sum(r.bisection_steps for r in reports),
-            shortcircuit_skips=sum(r.shortcircuit_skips for r in reports),
-            assumed_feasible=sum(r.assumed_feasible for r in reports),
-            warm_start_used=any(r.warm_start_used for r in reports),
+            packer_passes=sum(s.packer_passes for s in searches),
+            bisection_steps=sum(s.bisection_steps for s in searches),
+            shortcircuit_skips=sum(s.shortcircuit_skips for s in searches),
+            assumed_feasible=sum(s.assumed_feasible for s in searches),
+            warm_start_used=any(s.warm_start_used for s in searches),
             kernel=kernels.pop() if len(kernels) == 1 else "mixed",
+            cold_reruns=sum(s.cold_reruns for s in searches),
             pods=n_pods,
-            pod_assign=self._pod_assign,
             pod_solve_ms_max=max(r.wall_ms for r in reports),
             pod_solve_ms_sum=sum(r.wall_ms for r in reports),
             shard_bound_ratio=ratio,
             lp_floor_ms=lp_floor_ms,
             rebalance_moves=moves,
+            pod_pool_fallbacks=fallbacks,
             pod_reports=tuple(
                 sorted(reports, key=lambda r: r.index)
             ),
         )
 
 
-# -- job-to-pod splitters -------------------------------------------------
-
-
-def _assign_hash(instance: SchedulingInstance, n_pods: int) -> np.ndarray:
-    """``crc32(job_id) % n_pods`` — stateless and hash-seed independent."""
-    return np.fromiter(
-        (
-            zlib.crc32(job.job_id.encode("utf-8")) % n_pods
-            for job in instance.jobs
-        ),
-        dtype=np.intp,
-        count=len(instance.jobs),
-    )
+# -- job-to-pod split ----------------------------------------------------
 
 
 def _assign_greedy(

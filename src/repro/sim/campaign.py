@@ -21,6 +21,12 @@ processes, falling back to in-process execution whenever a process pool
 is unavailable (restricted sandboxes, unpicklable factories); the
 results are identical either way, parallelism is purely a wall-clock
 optimisation.
+
+:class:`ContinuousCampaign` runs the same loop as a durable service.
+With ``pods=`` it schedules through the pod-parallel
+:class:`~repro.core.sharding.ShardedScheduler` (``pod_workers=`` sizes
+its process pool); the job-to-pod split is the scheduler's one greedy
+splitter, so there is nothing else to choose.
 """
 
 from __future__ import annotations
@@ -516,7 +522,6 @@ class ContinuousCampaign:
         kernel: str = "auto",
         warm_start: bool = True,
         pods: int | str | None = None,
-        pod_assign: str = "greedy",
         pod_workers: int | str | None = "auto",
         policy: str = "cwc-greedy",
         deviation_sigma: float = 0.03,
@@ -588,7 +593,6 @@ class ContinuousCampaign:
         else:
             self._scheduler = ShardedScheduler(
                 pods=pods,
-                pod_assign=pod_assign,
                 pod_workers=pod_workers,
                 kernel=kernel,
                 warm_start=warm_start,

@@ -994,7 +994,6 @@ class CentralServer:
                 warm_started=record.warm_started,
                 kernel=record.kernel,
                 pods=getattr(record.search, "pods", 1),
-                pod_assign=getattr(record.search, "pod_assign", "none"),
                 policy=record.policy,
                 replicas=record.replicas,
             )

@@ -338,6 +338,10 @@ class FuzzOutcome:
     makespan_ms: float | None = None
     rounds: int = 0
     completions: int = 0
+    #: Capacity-search cold reruns summed over the run's rounds (a
+    #: round without a search counts 0).  Diagnostic only: it never
+    #: enters a digest.
+    cold_reruns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -486,6 +490,11 @@ def run_scenario(
         makespan_ms=result.measured_makespan_ms,
         rounds=len(result.rounds),
         completions=len(result.trace.completions),
+        cold_reruns=sum(
+            record.search.cold_reruns
+            for record in result.rounds
+            if record.search is not None
+        ),
     )
 
 
@@ -712,6 +721,9 @@ class FuzzReport:
     failures: tuple[FuzzOutcome, ...]
     artifacts: tuple[str, ...]
     campaign_digest: str
+    #: Total :attr:`FuzzOutcome.cold_reruns` over the campaign's runs
+    #: (kept out of ``campaign_digest``).
+    cold_reruns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -740,11 +752,13 @@ def run_campaign(
     digests: list[str] = []
     failures: list[FuzzOutcome] = []
     artifacts: list[str] = []
+    cold_reruns = 0
     hasher = hashlib.sha256()
     for index, scenario_seed in enumerate(derive_seeds(seed, runs)):
         scenario = generate_scenario(scenario_seed)
         outcome = run_scenario(scenario)
         digests.append(outcome.digest)
+        cold_reruns += outcome.cold_reruns
         hasher.update(
             f"{outcome.digest}:{outcome.makespan_ms!r}:"
             f"{len(outcome.violations)}\n".encode()
@@ -774,6 +788,7 @@ def run_campaign(
         failures=tuple(failures),
         artifacts=tuple(artifacts),
         campaign_digest=hasher.hexdigest(),
+        cold_reruns=cold_reruns,
     )
 
 

@@ -1,13 +1,13 @@
 """Tests for the sharded pod-parallel scheduler (core/sharding.py)."""
 
+import concurrent.futures
 import dataclasses
 import json
-import zlib
 
 import numpy as np
 import pytest
 
-from repro.core import capacity
+from repro.core import capacity, sharding
 from repro.core.capacity import (
     CapacitySearch,
     CapacitySearchResult,
@@ -17,6 +17,7 @@ from repro.core.capacity import (
 from repro.core.greedy import CwcScheduler
 from repro.core.packing import GreedyPacker
 from repro.core.pod import (
+    PodSolveReport,
     PodSpec,
     assemble_schedule,
     default_pod_workers,
@@ -31,7 +32,7 @@ from repro.core.sharding import (
     ShardedScheduler,
     ShardedSearchResult,
     _assign_greedy,
-    _assign_hash,
+    _build_specs,
 )
 
 from ..conftest import make_instance
@@ -137,13 +138,9 @@ class TestPodMechanics:
 class TestShardedScheduler:
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
-            ShardedScheduler(pod_assign="roulette")
-        with pytest.raises(ValueError):
             ShardedScheduler(pods=0)
         with pytest.raises(ValueError):
             ShardedScheduler(pod_workers=0)
-        with pytest.raises(ValueError):
-            ShardedScheduler(rebalance_rounds=-1)
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_pods1_byte_identical_to_monolithic(self, fleet_instance, kernel):
@@ -159,6 +156,13 @@ class TestShardedScheduler:
         own = set(ShardedSearchResult.__annotations__)
         assert base.isdisjoint(own)
         assert base < {f.name for f in dataclasses.fields(ShardedSearchResult)}
+
+    def test_pod_report_carries_the_search_record(self):
+        """Pod reports hold the pod's result instead of copying it."""
+        base = {f.name for f in dataclasses.fields(CapacitySearchResult)}
+        own = {f.name for f in dataclasses.fields(PodSolveReport)}
+        assert base.isdisjoint(own)
+        assert "search" in own
 
     def test_monolithic_delegation_carries_cold_reruns(
         self, small_instance, monkeypatch
@@ -184,25 +188,88 @@ class TestShardedScheduler:
         assert result.cold_reruns == 1
         assert canonical(schedule) == canonical(cold.schedule)
 
+    def test_sharded_cold_reruns_propagate(
+        self, fleet_instance, monkeypatch
+    ):
+        cold = ShardedScheduler(pods=2, pod_workers=None, kernel="python")
+        cold_schedule = cold.schedule(fleet_instance)
+        # Warm hints at each pod's lower bound that the packer wrongly
+        # reports feasible force every pod search into a cold rerun.
+        pods = partition_phones(len(fleet_instance.phones), 2)
+        bmin, _cmin, agg = pod_rate_tables(fleet_instance, pods)
+        specs = _build_specs(pods, _assign_greedy(fleet_instance, bmin, agg))
+        hints = {
+            spec.index: capacity_bounds(
+                pod_instance(
+                    fleet_instance, spec.phone_positions, spec.job_positions
+                )
+            )[0]
+            for spec in specs
+        }
+
+        class LiesAtHints(GreedyPacker):
+            def pack(self, capacity_ms):
+                if capacity_ms in hints.values():
+                    upper = capacity_bounds(self._instance)[1]
+                    return super().pack(upper * (1.0 + 1e-9) + 1e-9)
+                return super().pack(capacity_ms)
+
+        monkeypatch.setitem(capacity._KERNEL_CLASSES, "python", LiesAtHints)
+        warm = ShardedScheduler(
+            pods=2, pod_workers=None, warm_start=True, kernel="python"
+        )
+        warm.restore_warm_state(
+            {
+                "last_capacity_ms": None,
+                "pod_capacities": {str(k): v for k, v in hints.items()},
+            }
+        )
+        schedule = warm.schedule(fleet_instance)
+        assert warm.last_result.pods == 2
+        assert warm.last_result.cold_reruns >= 1
+        assert warm.last_result.cold_reruns == sum(
+            report.search.cold_reruns
+            for report in warm.last_result.pod_reports
+        )
+        assert canonical(schedule) == canonical(cold_schedule)
+
+    def test_pool_fallback_is_counted(self, fleet_instance, monkeypatch):
+        from repro.obs import Telemetry
+
+        serial = ShardedScheduler(pods=2, pod_workers=None).schedule(
+            fleet_instance
+        )
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        )
+        telemetry = Telemetry.create(run_id="pool-fallback")
+        scheduler = ShardedScheduler(
+            pods=2, pod_workers=2, telemetry=telemetry
+        )
+        schedule = scheduler.schedule(fleet_instance)
+        assert canonical(schedule) == canonical(serial)
+        assert scheduler.last_result.pod_pool_fallbacks == 1
+        assert (
+            telemetry.registry.counter_value("pod_pool_fallbacks_total")
+            == 1
+        )
+
     def test_small_fleet_auto_resolves_to_monolithic(self, small_instance):
         scheduler = ShardedScheduler(pods="auto")
         schedule = scheduler.schedule(small_instance)
         schedule.validate(small_instance)
         assert scheduler.last_result.pods == 1
-        assert scheduler.last_result.pod_assign == "none"
 
-    @pytest.mark.parametrize("policy", ["lp", "greedy", "hash"])
-    def test_policies_produce_valid_certified_schedules(
-        self, fleet_instance, policy
-    ):
-        scheduler = ShardedScheduler(
-            pods=3, pod_assign=policy, pod_workers=None
-        )
+    def test_produces_valid_certified_schedules(self, fleet_instance):
+        scheduler = ShardedScheduler(pods=3, pod_workers=None)
         schedule = scheduler.schedule(fleet_instance)
         schedule.validate(fleet_instance)
         result = scheduler.last_result
         assert result.pods == 3
-        assert result.pod_assign == policy
         assert result.pod_solve_ms_max <= result.pod_solve_ms_sum
         assert len(result.pod_reports) >= 2
         makespan = schedule.predicted_makespan_ms(fleet_instance)
@@ -221,12 +288,6 @@ class TestShardedScheduler:
         )
         assert canonical(first) == canonical(second)
 
-    def test_hash_policy_is_crc32(self, fleet_instance):
-        assignment = _assign_hash(fleet_instance, 3)
-        for j, job in enumerate(fleet_instance.jobs):
-            expected = zlib.crc32(job.job_id.encode("utf-8")) % 3
-            assert assignment[j] == expected
-
     def test_greedy_splitter_balances_better_than_worst_case(
         self, fleet_instance
     ):
@@ -237,22 +298,6 @@ class TestShardedScheduler:
         assert set(np.unique(assignment)) <= {0, 1, 2}
         # Every pod gets some work on this mixed workload.
         assert len(np.unique(assignment)) == 3
-
-    def test_rebalance_never_hurts_capacity(self, fleet_instance):
-        base = ShardedScheduler(
-            pods=3, pod_assign="hash", rebalance_rounds=0, pod_workers=None
-        )
-        base.schedule(fleet_instance)
-        repaired = ShardedScheduler(
-            pods=3, pod_assign="hash", rebalance_rounds=3, pod_workers=None
-        )
-        schedule = repaired.schedule(fleet_instance)
-        schedule.validate(fleet_instance)
-        assert (
-            repaired.last_result.capacity_ms
-            <= base.last_result.capacity_ms + 1e-9
-        )
-        assert repaired.last_result.rebalance_moves >= 0
 
     def test_pooled_matches_serial(self, fleet_instance, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "4")
@@ -295,7 +340,7 @@ class TestShardedScheduler:
             scheduler.schedule(fleet_instance)
             result = scheduler.last_result
             assert result.packer_passes == sum(
-                report.packer_passes for report in result.pod_reports
+                report.search.packer_passes for report in result.pod_reports
             )
             assert result.packer_passes > 0
 
@@ -324,6 +369,78 @@ class TestShardedScheduler:
         assert registry.gauge_value("shard_bound_ratio") is not None
         assert registry.gauge_value("shard_pods") == 2.0
         assert registry.counter_value("pod_jobs_total", pod="0") > 0
+
+
+def _lopsided(instance, pod_of_job):
+    """Two-pod specs with a hand-picked job split, solved serially.
+
+    ``pod_of_job`` maps job position to pod index; jobs left out go to
+    no pod.
+    """
+    scheduler = ShardedScheduler(pods=2, pod_workers=None)
+    pods = partition_phones(len(instance.phones), 2)
+    bmin, _cmin, agg = pod_rate_tables(instance, pods)
+    job_pods = np.full(len(instance.jobs), -1)
+    for j, p in pod_of_job.items():
+        job_pods[j] = p
+    specs = _build_specs(pods, job_pods)
+    reports = [
+        solve_pod(instance, spec, scheduler._local_search) for spec in specs
+    ]
+    return scheduler, specs, reports, bmin, agg
+
+
+def _max_capacity(reports):
+    return max(report.search.capacity_ms for report in reports)
+
+
+class TestRebalance:
+    """The one repair move of the global capacity search."""
+
+    def test_accepted_move_lowers_max_capacity(self, fleet_instance):
+        # Every job but the last on pod 0: far past the 5% gap gate.
+        n_jobs = len(fleet_instance.jobs)
+        split = {j: 0 for j in range(n_jobs - 1)} | {n_jobs - 1: 1}
+        scheduler, specs, reports, bmin, agg = _lopsided(fleet_instance, split)
+        new_specs, new_reports, moves = scheduler._global_capacity_search(
+            fleet_instance, specs, reports, bmin, agg
+        )
+        assert moves == 1
+        assert _max_capacity(new_reports) < _max_capacity(reports)
+        # Exactly one job changed pods.
+        assert len(new_specs[0].job_positions) == n_jobs - 2
+        assert len(new_specs[1].job_positions) == 2
+        assert {r.index for r in new_reports} == {0, 1}
+
+    def test_unhelpful_move_leaves_specs_and_reports(
+        self, fleet_instance, monkeypatch
+    ):
+        # Pod 1 (odd positions, the faster phones) holds the largest
+        # atomic job plus a small one; pod 0 holds one small job.
+        # Moving either of pod 1's jobs to the slower pod cannot lower
+        # the max capacity, so the re-solved pair is discarded.
+        job_ids = [job.job_id for job in fleet_instance.jobs]
+        big = job_ids.index("a0")  # 1478 KB, the largest atomic job
+        scheduler, specs, reports, bmin, agg = _lopsided(
+            fleet_instance, {big: 1, 4: 1, 10: 0}
+        )
+        assert _max_capacity(reports) > 1.05 * min(
+            report.search.capacity_ms for report in reports
+        )
+        solves = []
+
+        def counting_solve_pod(*args, **kwargs):
+            solves.append(args[1].index)
+            return solve_pod(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "solve_pod", counting_solve_pod)
+        new_specs, new_reports, moves = scheduler._global_capacity_search(
+            fleet_instance, specs, reports, bmin, agg
+        )
+        assert sorted(solves) == [0, 1]  # the move was tried ...
+        assert moves == 0  # ... and rejected
+        assert new_specs is specs
+        assert new_reports is reports
 
 
 class TestPolicyRejection:

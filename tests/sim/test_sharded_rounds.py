@@ -25,7 +25,6 @@ def test_round_record_reports_sharding_context():
     result = server.run(make_jobs(n_breakable=6, n_atomic=2))
     search = result.rounds[0].search
     assert search.pods == 2
-    assert search.pod_assign == "greedy"
     assert search.pod_solve_ms_max > 0.0
     assert search.pod_solve_ms_sum >= search.pod_solve_ms_max
     assert search.shard_bound_ratio >= 1.0 - 1e-9
@@ -38,7 +37,7 @@ def test_campaign_threads_sharding_knobs():
     plain = ContinuousCampaign(seed=31)
     assert isinstance(plain._scheduler, CwcScheduler)
     sharded = ContinuousCampaign(
-        seed=31, pods=2, pod_assign="hash", pod_workers=None
+        seed=31, pods=2, pod_workers=None
     )
     assert isinstance(sharded._scheduler, ShardedScheduler)
     result = sharded.run(1)
@@ -52,6 +51,5 @@ def test_round_record_sharded_pods1_reports_monolithic_context():
     result = server.run(make_jobs())
     search = result.rounds[0].search
     assert search.pods == 1
-    assert search.pod_assign == "none"
     # Monolithic delegation still reports a diagnostic ratio.
     assert search.shard_bound_ratio > 0.0

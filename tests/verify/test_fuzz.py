@@ -1,5 +1,6 @@
 """Tests for the deterministic scenario fuzzer: generation, replay, shrinking."""
 
+import dataclasses
 import json
 
 import pytest
@@ -121,6 +122,59 @@ class TestCampaign:
             run_campaign(5, seed=0, minimize=False).campaign_digest
             != run_campaign(5, seed=1, minimize=False).campaign_digest
         )
+
+
+class TestColdReruns:
+    """Cold reruns are reported per run and per campaign, never hashed."""
+
+    def test_outcome_sums_its_rounds(self, monkeypatch):
+        from repro.core.capacity import CapacitySearch
+
+        run = CapacitySearch.run
+
+        def always_reran(self, *args, **kwargs):
+            return dataclasses.replace(
+                run(self, *args, **kwargs), cold_reruns=1
+            )
+
+        scenario = generate_scenario(42)
+        assert run_scenario(scenario).cold_reruns == 0
+        monkeypatch.setattr(CapacitySearch, "run", always_reran)
+        outcome = run_scenario(scenario)
+        assert outcome.rounds > 0
+        # Every round of the default policy runs one capacity search.
+        assert outcome.cold_reruns == outcome.rounds
+
+    def test_campaign_total_stays_out_of_digest(self, monkeypatch):
+        from repro.verify import fuzz
+
+        plain = run_campaign(3, seed=0, minimize=False)
+        run = fuzz.run_scenario
+
+        def with_reruns(scenario, **kwargs):
+            return dataclasses.replace(
+                run(scenario, **kwargs), cold_reruns=2
+            )
+
+        monkeypatch.setattr(fuzz, "run_scenario", with_reruns)
+        counted = run_campaign(3, seed=0, minimize=False)
+        assert plain.cold_reruns == 0
+        assert counted.cold_reruns == 6
+        assert counted.campaign_digest == plain.campaign_digest
+
+    def test_cli_prints_and_writes_the_total(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "fuzz.json"
+        code = main(
+            [
+                "fuzz", "--runs", "2", "--seed", "0",
+                "--out-dir", str(tmp_path), "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert "capacity-search cold reruns: 0" in capsys.readouterr().out
+        assert json.loads(out.read_text())["cold_reruns"] == 0
 
 
 class TestArtifacts:

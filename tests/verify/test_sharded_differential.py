@@ -37,21 +37,12 @@ def test_clean_instance_passes_all_legs(fleet_instance):
         assert ratio >= 1.0 - 1e-9
 
 
-def test_policies_all_pass(fleet_instance):
-    for policy in ("lp", "greedy", "hash"):
-        report = sharded_differential_check(
-            fleet_instance, pod_counts=(1, 2), pod_assign=policy
-        )
-        assert report.pod_assign == policy
-
-
 def test_bound_factor_violation_detected(fleet_instance):
     """An absurdly tight factor must trip the monolithic comparison."""
     with pytest.raises(DifferentialMismatchError, match="exceeds"):
         sharded_differential_check(
             fleet_instance,
             pod_counts=(4,),
-            pod_assign="hash",
             bound_factor=0.01,
         )
 
