@@ -36,8 +36,9 @@ to the naive pack-every-probe search:
   probes with the byte-identical vectorized
   :class:`~repro.core.packing_vec.VectorGreedyPacker`; ``'auto'``
   (default) picks by instance size (the array kernel's per-call
-  overhead only pays off past a few hundred thousand phone × job
-  cells);
+  overhead only pays off from ~1.5e5 phone × job cells).  Both
+  kernels open bins (Line 15) with the same vectorized Equation-1
+  gather;
 * **cached bounds** — the (lower, upper) bracket comes from
   :meth:`SchedulingInstance.capacity_bounds`, computed once per
   instance instead of twice per search (and once more per caller);
@@ -45,8 +46,13 @@ to the naive pack-every-probe search:
   per search: the *single-placement floor* (some job's cheapest
   possible first placement exceeds ``C`` on every phone), the *volume
   floor* (the fleet-wide work implied by the jobs exceeds
-  ``|P| * C``).  A midpoint below either floor is provably infeasible
-  and is resolved without packing;
+  ``|P| * C``); and the per-probe *fleet-fill test* (some job's input
+  exceeds what the whole fleet can absorb of it below ``C``, see
+  :func:`_fleet_fill_certificate`).  A midpoint or warm hint any of
+  them rejects is provably infeasible and is resolved without
+  packing.  The fleet-fill test is what proves the infeasible probes
+  of small rescheduling-instant searches, which would otherwise open
+  every phone before failing;
 * **feasibility certificate** — the dual of the floors: a capacity
   threshold above which Algorithm 1 *provably cannot fail* (see
   :func:`_greedy_feasibility_threshold` for the proof).  Midpoints
@@ -116,9 +122,15 @@ __all__ = [
 #: tolerance.
 _CERT_MARGIN = 1e-6
 
+#: Cells (jobs × phones) per row block of the fleet-fill certificate,
+#: so a probe never materialises a phones × jobs temporary.
+_FILL_BLOCK_CELLS = 1 << 16
+
 #: ``kernel='auto'``: instances with at least this many phone × job
-#: cells probe with the numpy kernel (measured crossover ~2e5 cells).
-_AUTO_KERNEL_MIN_CELLS = 250_000
+#: cells probe with the numpy kernel.  Measured on heterogeneous fleets
+#: (DESIGN §9.1): the scalar kernel wins below ~1e5 cells, the two are
+#: within noise up to ~1.5e5, and numpy leads from ~2e5.
+_AUTO_KERNEL_MIN_CELLS = 150_000
 
 #: Verdict-only probing turns on (numpy kernel only) at this size, where
 #: skipping per-probe schedule accumulation outweighs the one extra
@@ -264,6 +276,59 @@ def _blocked_placement_max(b, per_kb, exe, need, block_rows: int = 128) -> float
     return worst
 
 
+def _fleet_fill_certificate(instance: SchedulingInstance):
+    """Per-job fleet-fill test: can the fleet absorb each job's input?
+
+    Returns ``rejects(padded)``, true when some job provably cannot be
+    packed within capacity ``padded``, or ``None`` when the proof does
+    not apply (some per-KB rate is non-positive).
+
+    Proof.  In a pack feasible at capacity ``C``, phone ``i`` holds
+    ``x_ij`` KB of job ``j`` over all its partitions and ships the
+    executable once, so ``E_j*b_i + x_ij*(b_i + c_ij) <= h_i <= C``.
+    Summed over phones, the fleet absorbs at most
+    ``R_j(C) = sum_i max(0, C - E_j*b_i) / (b_i + c_ij)`` KB of job
+    ``j``, and every KB must be placed: ``R_j(C) < L_j`` proves ``C``
+    infeasible.  The caller pads ``C`` and the test shrinks ``L_j`` by
+    ``_CERT_MARGIN``, which absorbs the packer's 1e-9 exact-fit
+    tolerance and rounding.  RAM constraints only make packing harder.
+
+    Cheap prefilter.  Whenever ``C >= E_j*max_i b_i``, every term is
+    at least ``(C - E_j*max_i b_i)/(b_i + c_ij)``, so
+    ``R_j(C) >= (C - E_j*max_i b_i) * S_j`` with ``S_j`` the job's
+    aggregate rate from the lower bound.  Only jobs with
+    ``chi_j = L_j/S_j + E_j*max_i b_i > C`` can fail; they are a
+    prefix of the jobs sorted by ``chi`` descending, evaluated in row
+    blocks of the job-major per-KB matrix.
+    """
+    if float(instance.per_kb_matrix().min()) <= 0:
+        return None
+    b = instance.b_array()
+    exe, load = instance.job_load_arrays()
+    with np.errstate(divide="ignore"):
+        chi = load / instance.aggregate_rates() + exe * float(b.max())
+    order = np.argsort(-chi, kind="stable")
+    neg_chi = -chi[order]
+    need = load * (1.0 - _CERT_MARGIN)
+    pkb_t = instance.per_kb_matrix_t()
+    block_rows = max(1, _FILL_BLOCK_CELLS // len(b))
+
+    def rejects(padded: float) -> bool:
+        candidates = int(neg_chi.searchsorted(-padded, "left"))
+        for start in range(0, candidates, block_rows):
+            jobs = order[start : start + block_rows]
+            reach = padded - exe[jobs, None] * b[None, :]
+            np.maximum(reach, 0.0, out=reach)
+            # Subnormal rates overflow to inf: unbounded reach, no reject.
+            with np.errstate(over="ignore"):
+                reach /= pkb_t[jobs]
+            if (reach.sum(axis=1) < need[jobs]).any():
+                return True
+        return False
+
+    return rejects
+
+
 def _greedy_feasibility_threshold(
     instance: SchedulingInstance,
     min_partition_kb: float,
@@ -359,6 +424,19 @@ class CapacitySearchResult:
     cold_reruns: int = 0
 
 
+def _record_search(tel, result: CapacitySearchResult) -> None:
+    """Publish a finished search's counters as ``capacity_*`` metrics."""
+    tel.inc("capacity_searches_total", kernel=result.kernel)
+    tel.inc("capacity_bisection_steps_total", float(result.bisection_steps))
+    tel.inc(
+        "capacity_shortcircuit_skips_total", float(result.shortcircuit_skips)
+    )
+    tel.inc("capacity_assumed_feasible_total", float(result.assumed_feasible))
+    if result.warm_start_used:
+        tel.inc("capacity_warm_start_hits_total")
+    tel.observe("capacity_packs_per_search", float(result.packer_passes))
+
+
 class CapacitySearch:
     """Finds the minimum feasible bin capacity via bisection.
 
@@ -426,8 +504,10 @@ class CapacitySearch:
 
         ``_trusted=False`` is the internal paranoid mode used when an
         assumption-based shortcut is caught misbehaving: the warm-hint
-        replay oracle and every derived certificate are disabled and
-        each probe is packed for real.
+        replay oracle, the feasibility certificate and verdict-only
+        probes are disabled.  The infeasibility certificates (the
+        floors and the fleet-fill test) stay armed — they are proofs,
+        not assumptions — and every other probe is packed for real.
         """
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
@@ -481,6 +561,7 @@ class CapacitySearch:
                 else MIN_PARTITION_KB
             )
             single_floor, volume = _certificate_floors(instance, min_partition)
+            fleet_fill = _fleet_fill_certificate(instance)
             feasible_threshold = (
                 _greedy_feasibility_threshold(
                     instance, min_partition, self._ram
@@ -492,7 +573,11 @@ class CapacitySearch:
 
         def provably_infeasible(cap: float) -> bool:
             padded = cap * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
-            return padded < single_floor or n_phones * padded < volume
+            return (
+                padded < single_floor
+                or n_phones * padded < volume
+                or (fleet_fill is not None and fleet_fill(padded))
+            )
 
         def provably_feasible(cap: float) -> bool:
             if feasible_threshold is None:
@@ -552,18 +637,22 @@ class CapacitySearch:
             warm_hint_ms is not None
             and 0.0 < warm_hint_ms < seed_capacity
         ):
-            with maybe_span(
-                tracer,
-                "warm_verify",
-                category="capacity",
-                hint_ms=warm_hint_ms,
-            ):
-                attempt = packer.pack(warm_hint_ms)
-            packs += 1
-            if attempt.feasible:
-                hint = warm_hint_ms
-                hint_result = attempt
-                feas_at = warm_hint_ms
+            if provably_infeasible(warm_hint_ms):
+                # Resolved like an infeasible verification pack.
+                skips += 1
+            else:
+                with maybe_span(
+                    tracer,
+                    "warm_verify",
+                    category="capacity",
+                    hint_ms=warm_hint_ms,
+                ):
+                    attempt = packer.pack(warm_hint_ms)
+                packs += 1
+                if attempt.feasible:
+                    hint = warm_hint_ms
+                    hint_result = attempt
+                    feas_at = warm_hint_ms
         warm_used = hint is not None
 
         # -- seed: packing at the upper bound must succeed -----------------
@@ -662,16 +751,8 @@ class CapacitySearch:
                     )
 
         assert best.schedule is not None
-        if tel.enabled:
-            tel.inc("capacity_searches_total", kernel=kernel)
-            tel.inc("capacity_bisection_steps_total", float(steps))
-            tel.inc("capacity_shortcircuit_skips_total", float(skips))
-            tel.inc("capacity_assumed_feasible_total", float(assumed))
-            if warm_used:
-                tel.inc("capacity_warm_start_hits_total")
-            tel.observe("capacity_packs_per_search", float(packs))
         bounds = capacity_bounds(instance)
-        return CapacitySearchResult(
+        result = CapacitySearchResult(
             schedule=best.schedule,
             capacity_ms=best.capacity_ms,
             max_height_ms=best.max_height_ms,
@@ -684,3 +765,6 @@ class CapacitySearch:
             warm_start_used=warm_used,
             kernel=kernel,
         )
+        if tel.enabled:
+            _record_search(tel, result)
+        return result

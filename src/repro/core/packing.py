@@ -43,6 +43,12 @@ decision:
 * **incremental item keys** — only the item just split changes its sort
   key, so it alone is re-inserted (``bisect.insort``) instead of
   re-keying and re-sorting the whole list;
+* **vectorized bin opening** — Line 15's minimum-Equation-1-cost
+  phone comes from one array gather over the unopened phone positions
+  (elementwise float64, bit-identical to the scalar expression) with
+  a precomputed phone-id rank for ties, instead of a Python ``min``
+  over one cost closure per unopened phone; the vectorized kernel
+  inherits it and only adds its mirror bookkeeping;
 * **failure marks** — once an item fails to fit in every opened bin it
   is skipped until something that could change that verdict happens.
   Bin heights only ever grow, and a bin's shipped-executable set only
@@ -61,6 +67,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .instance import SchedulingInstance
 from .model import MIN_PARTITION_KB, Job
@@ -164,6 +172,27 @@ class GreedyPacker:
             ),
             default=0.0,
         )
+        # Line-15 bin opening works on arrays: the unopened phones are
+        # an ``intp`` position buffer (the first ``_un_n`` entries),
+        # and Equation-1 costs are gathered from the job-major per-KB
+        # matrix, cached on the instance so every packer built on it
+        # (rounds, pods, both kernels) shares one copy.
+        n_phones = len(instance.phones)
+        self._b_arr = instance.b_array()
+        self._pkb_t = instance.per_kb_matrix_t()
+        self._phone_ids = [phone.phone_id for phone in instance.phones]
+        #: Lexicographic rank of each phone_id; equal-cost ties in bin
+        #: opening resolve by smallest rank == smallest phone_id.
+        ranks = np.empty(n_phones, dtype=np.intp)
+        ranks[sorted(range(n_phones), key=self._phone_ids.__getitem__)] = (
+            np.arange(n_phones, dtype=np.intp)
+        )
+        self._id_rank = ranks
+        self._unopened0 = np.arange(n_phones, dtype=np.intp)
+        self._un_buf = np.empty(n_phones, dtype=np.intp)
+        self._un_n = 0
+        self._open_cost_buf = np.empty(n_phones)
+        self._open_exe_buf = np.empty(n_phones)
 
     # -- public API --------------------------------------------------------
 
@@ -186,9 +215,8 @@ class GreedyPacker:
         items.sort(key=_item_key)
         #: Opened bins, always sorted by (height_ms, phone_id).
         bins: list[_Bin] = []
-        unopened = [
-            (phone.phone_id, pos) for pos, phone in enumerate(instance.phones)
-        ]
+        self._un_buf[:] = self._unopened0
+        self._un_n = len(self._un_buf)
         #: Bin-opening epoch; bumping it invalidates all failure marks.
         epoch = 0
         builder = ScheduleBuilder()
@@ -196,9 +224,9 @@ class GreedyPacker:
         while items:
             if self._pack_into_opened(items, bins, epoch, builder, capacity_ms):
                 continue
-            if not unopened:
+            if not self._un_n:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
-            opened = self._open_bin_for(items[0], unopened, bins, capacity_ms)
+            opened = self._open_bin_for(items[0], bins, capacity_ms)
             if opened is None:
                 return PackingResult(feasible=False, capacity_ms=capacity_ms)
             epoch += 1
@@ -366,50 +394,56 @@ class GreedyPacker:
         return True
 
     def _open_bin_for(
-        self,
-        item: _Item,
-        unopened: list[tuple[str, int]],
-        bins: list[_Bin],
-        capacity_ms: float,
+        self, item: _Item, bins: list[_Bin], capacity_ms: float
     ) -> _Bin | None:
         """Line 15: open the best unopened bin for the largest item.
 
         The best bin is the phone that would run the item with the
-        minimum Equation-1 cost.  If the item does not fit there (not
-        even a minimum partition), the remaining unopened bins are tried
-        in increasing order of that cost before giving up.
+        minimum Equation-1 cost ``E_j*b_i + rem*(b_i + c_ij)``, ties
+        broken by smallest phone_id.  The costs are one gather over the
+        unopened positions — elementwise float64, so each equals the
+        scalar expression bit for bit.  If the item does not fit there
+        (not even a minimum partition), the remaining unopened bins are
+        tried in increasing ``(cost, phone_id)`` order before giving up.
         """
-        job = item.job
-        job_pos = item.job_pos
-        remaining = item.remaining_kb
-        b = self._b
-        per_kb_rows = self._per_kb_rows
-
-        def eq1_cost(entry: tuple[str, int]) -> tuple[float, str]:
-            phone_id, pos = entry
-            return (
-                job.executable_kb * b[pos]
-                + remaining * per_kb_rows[pos][job_pos],
-                phone_id,
-            )
-
-        # Fast path: the cheapest phone almost always accepts a freshly
-        # opened bin, and min() over the (cost, phone_id) key picks the
-        # same phone the full sorted walk would try first.
-        cheapest = min(unopened, key=eq1_cost)
-        candidate = _Bin(phone_id=cheapest[0], phone_pos=cheapest[1])
+        n = self._un_n
+        pos_arr = self._un_buf[:n]
+        cost = self._open_cost_buf[:n]
+        self._pkb_t[item.job_pos].take(pos_arr, out=cost)
+        cost *= item.remaining_kb
+        exe_part = self._open_exe_buf[:n]
+        self._b_arr.take(pos_arr, out=exe_part)
+        exe_part *= item.job.executable_kb
+        cost += exe_part
+        ties = np.flatnonzero(cost == cost.min())
+        if ties.size == 1:
+            k = int(ties[0])
+        else:
+            k = int(ties[int(np.argmin(self._id_rank[pos_arr[ties]]))])
+        ids = self._phone_ids
+        pos = int(pos_arr[k])
+        candidate = _Bin(phone_id=ids[pos], phone_pos=pos)
         if self._fit_kb(candidate, item, capacity_ms) > 0:
-            unopened.remove(cheapest)
-            insort(bins, candidate, key=_bin_key)
-            return candidate
-
-        for entry in sorted(unopened, key=eq1_cost):
-            if entry == cheapest:
-                continue
-            phone_id, pos = entry
-            candidate = _Bin(phone_id=phone_id, phone_pos=pos)
-            if self._fit_kb(candidate, item, capacity_ms) > 0:
-                unopened.remove(entry)
-                insort(bins, candidate, key=_bin_key)
-                return candidate
+            return self._admit_bin(candidate, k, bins)
+        # The cheapest phone rejects: RAM, an atomic job too large, or
+        # (ending most infeasible packs) a capacity no fresh bin meets.
+        # Walk the rest in (cost, phone_id) order.
+        costs = cost.tolist()
+        entries = sorted(
+            (costs[i], ids[p], i)
+            for i, p in enumerate(pos_arr.tolist())
+            if i != k
+        )
+        for _, phone_id, i in entries:
+            fallback = _Bin(phone_id=phone_id, phone_pos=int(pos_arr[i]))
+            if self._fit_kb(fallback, item, capacity_ms) > 0:
+                return self._admit_bin(fallback, i, bins)
         return None
+
+    def _admit_bin(self, bin_: _Bin, unopened_index: int, bins) -> _Bin:
+        """Open ``bin_``: drop it from the unopened buffer, insort it."""
+        un, n = self._un_buf, self._un_n
+        un[unopened_index : n - 1] = un[unopened_index + 1 : n]
+        self._un_n = n - 1
+        insort(bins, bin_, key=_bin_key)
+        return bin_

@@ -12,8 +12,9 @@ across random instances including atomic jobs, jobs at the
 * **warm-hint replay identity** — a search warm-started at the
   capacity a cold search converged to replays the cold search's
   verdicts: same capacity, same schedule bytes;
-* **certificate soundness** — no capacity the infeasibility floors
-  reject packs, and none the feasibility threshold accepts fails.
+* **certificate soundness** — no capacity the infeasibility floors or
+  the fleet-fill test reject packs, and none the feasibility threshold
+  accepts fails.
 
 Every property is pinned for *each* packing kernel — the exact
 scalar :class:`~repro.core.packing.GreedyPacker` and the vectorized
@@ -32,6 +33,7 @@ from repro.core.capacity import (
     _CERT_MARGIN,
     CapacitySearch,
     _certificate_floors,
+    _fleet_fill_certificate,
     _greedy_feasibility_threshold,
     capacity_bounds,
 )
@@ -175,8 +177,10 @@ def test_certificate_soundness(packer_cls, case):
     """The search's certificates never contradict a real pack.
 
     Probes at the search's own decision points: a capacity the floors
-    reject (after the search's safety margin) must fail to pack, and
-    one the feasibility threshold accepts must pack.
+    or the fleet-fill test reject (after the search's safety margin)
+    must fail to pack, and one the feasibility threshold accepts must
+    pack.  The largest capacity the fleet-fill test rejects is found by
+    bisection (its per-job reach only grows with capacity) and probed.
     """
     instance, capacities = case
     single_floor, volume = _certificate_floors(instance, MIN_PARTITION_KB)
@@ -184,8 +188,22 @@ def test_certificate_soundness(packer_cls, case):
     threshold = _greedy_feasibility_threshold(
         instance, MIN_PARTITION_KB, None
     )
+    fleet_fill = _fleet_fill_certificate(instance)
+
+    def pad(capacity):
+        return capacity * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
+
     probes = list(capacities)
     probes.append((floor - _CERT_MARGIN) / (1.0 + _CERT_MARGIN) * 0.999999)
+    if fleet_fill is not None and fleet_fill(0.0):
+        rejected, accepted = 0.0, max(capacity_bounds(instance)[1], 1.0)
+        for _ in range(60):
+            mid = (rejected + accepted) / 2.0
+            if fleet_fill(pad(mid)):
+                rejected = mid
+            else:
+                accepted = mid
+        probes.append(rejected)
     if threshold is not None:
         probes.append(
             (threshold + _CERT_MARGIN) / (1.0 - _CERT_MARGIN) * 1.000001
@@ -193,8 +211,12 @@ def test_certificate_soundness(packer_cls, case):
         probes.append(2.0 * threshold + 1.0)
     packer = packer_cls(instance)
     for capacity in probes:
-        padded = capacity * (1.0 + _CERT_MARGIN) + _CERT_MARGIN
-        if padded < single_floor or len(instance.phones) * padded < volume:
+        padded = pad(capacity)
+        if (
+            padded < single_floor
+            or len(instance.phones) * padded < volume
+            or (fleet_fill is not None and fleet_fill(padded))
+        ):
             assert not packer.pack(capacity).feasible, capacity
         if threshold is not None and (
             capacity * (1.0 - _CERT_MARGIN) - _CERT_MARGIN >= threshold

@@ -11,6 +11,8 @@ fleet-scale short-circuit the certificates previously missed) and the
 LP floor.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core._reference import ReferenceCapacitySearch
@@ -150,6 +152,19 @@ class TestKernelSelection:
         assert cells < _AUTO_KERNEL_MIN_CELLS
         assert resolve_kernel("auto", small_instance) == "python"
 
+    def test_auto_crossover(self):
+        """Sharded fleet-scale pods (~350 × 490) probe with numpy."""
+        def shape(n_phones, n_jobs):
+            return SimpleNamespace(
+                phones=range(n_phones), jobs=range(n_jobs)
+            )
+
+        assert _AUTO_KERNEL_MIN_CELLS == 150_000
+        assert resolve_kernel("auto", shape(350, 490)) == "numpy"
+        assert resolve_kernel("auto", shape(300, 499)) == "python"
+        assert resolve_kernel("auto", shape(300, 500)) == "numpy"
+        assert resolve_kernel("auto", shape(100, 100)) == "python"
+
     def test_unknown_kernel_rejected(self, small_instance):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("fortran", small_instance)
@@ -205,6 +220,44 @@ class TestCertificates:
         # The reference packs every probe; the certificates resolve the
         # infeasible midpoints for free.
         assert result.packer_passes < reference.packer_passes
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_fleet_fill_skips_single_job_infeasible_probes(self, kernel):
+        """A rescheduling-instant search: one job on a 100-phone fleet.
+
+        The floors prove nothing here (the one job's cheapest
+        placement is tiny, and the fleet's volume is far below
+        ``|P| * C``), so without the fleet-fill test every infeasible
+        midpoint is packed, opening every phone before it fails.
+        """
+        instance = make_instance(
+            n_breakable=1, n_atomic=0, n_phones=100, seed=1
+        )
+        result = CapacitySearch(kernel=kernel).run(instance)
+        reference = ReferenceCapacitySearch().run(instance)
+        assert result.shortcircuit_skips > 0
+        assert result.packer_passes < reference.packer_passes
+        assert result.capacity_ms == reference.capacity_ms
+        assert schedule_to_dict(result.schedule) == schedule_to_dict(
+            reference.schedule
+        )
+
+    def test_fleet_fill_resolves_an_infeasible_warm_hint(self):
+        """A hint the fleet cannot fill is rejected without a pack."""
+        instance = make_instance(
+            n_breakable=1, n_atomic=0, n_phones=100, seed=1
+        )
+        cold = CapacitySearch().run(instance)
+        warm = CapacitySearch().run(
+            instance, warm_hint_ms=cold.capacity_ms * 0.5
+        )
+        assert not warm.warm_start_used
+        assert warm.shortcircuit_skips == cold.shortcircuit_skips + 1
+        assert warm.packer_passes == cold.packer_passes
+        assert warm.capacity_ms == cold.capacity_ms
+        assert schedule_to_dict(warm.schedule) == schedule_to_dict(
+            cold.schedule
+        )
 
     def test_feasibility_certificate_skips_giant_probes(self):
         """Capacities past the greedy-feasibility threshold never pack."""

@@ -39,6 +39,38 @@ class TestCapacityAndSchedulerMetrics:
         assert registry.histogram("capacity_packs_per_search").count == 1
         assert registry.histogram("pack_wall_ms", kernel="python").count > 0
 
+    def test_capacity_metrics_match_the_result(self):
+        """The end-of-search metrics are the returned record's counters.
+
+        An unfillable warm hint is resolved by the fleet-fill
+        certificate, so the skip count includes a non-bisection skip.
+        """
+        tel = Telemetry.create(run_id="cap-record")
+        instance = make_instance(
+            n_breakable=1, n_atomic=0, n_phones=100, seed=1
+        )
+        search = CapacitySearch(telemetry=tel)
+        cold = search.run(instance)
+        warm = search.run(instance, warm_hint_ms=cold.capacity_ms * 0.5)
+        registry = tel.registry
+        both = (cold, warm)
+        assert registry.counter_value(
+            "capacity_searches_total", kernel="python"
+        ) == 2
+        assert registry.counter_value("capacity_bisection_steps_total") == sum(
+            r.bisection_steps for r in both
+        )
+        assert registry.counter_value(
+            "capacity_shortcircuit_skips_total"
+        ) == sum(r.shortcircuit_skips for r in both)
+        assert registry.counter_value(
+            "capacity_assumed_feasible_total"
+        ) == sum(r.assumed_feasible for r in both)
+        assert registry.counter_value("capacity_warm_start_hits_total") == 0
+        packs = registry.histogram("capacity_packs_per_search")
+        assert packs.count == 2
+        assert packs.sum == sum(r.packer_passes for r in both)
+
     def test_scheduler_wrapper_metrics(self):
         tel = Telemetry.create(run_id="sched")
         scheduler = CwcScheduler(telemetry=tel)
