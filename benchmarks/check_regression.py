@@ -1,71 +1,73 @@
-"""Bench-regression guard for the scheduler trajectory file.
+"""Regression guards: exact trajectory counters and bench wall times.
 
-Compares a freshly generated ``BENCH_scheduler.json`` against the
-committed baseline and fails (exit 1) when a guarded record slowed
-down by more than its allowed fraction.  CI copies the committed file
-aside before the bench run, then invokes::
+**Exact counters.**  The scheduler's search trajectory (packs,
+bisection steps, certificate skips, kernel choice, rebalance moves)
+and its schedules are deterministic and host-independent, so CI checks
+them for exact equality against ``benchmarks/expected_counters.json``::
 
-    python benchmarks/check_regression.py baseline.json BENCH_scheduler.json
+    python benchmarks/check_regression.py \
+        --expected benchmarks/expected_counters.json RUN_OUTPUT...
 
-By default only ``fleet_scale_full_pass.total_s`` is guarded: it is the
-tracked headline number, and the sub-timings (build/bounds/search) are
-noisy enough individually that guarding each would cause false alarms
-on shared CI runners.  The 25 % default tolerance absorbs
-runner-to-runner variance while still catching real hot-path
-regressions, which have historically been multiples, not percentages.
+Each run output is either the standard output of
+``perfbench/run.py --seed 1 --seconds 1`` (both ``--trace 0``, which
+carries the per-input schedule digests, and ``--trace 1``, which
+carries the per-layer counters, under ``REPRO_CPUS=2`` because
+``fleet-sharded`` runs one pod per CPU), or the ``--output`` report of
+the ``repro fuzz`` (``--runs 50 --seed 0``), ``repro fuzz
+--crash-restore`` (``--runs 50 --seed 0``) or ``repro tournament``
+(``--runs 10 --seed 0``) campaign.  Every expected value of each kind
+of output given must be present and equal; floats (the HiGHS
+``bound_ratio``) agree to 1e-6 relative.  Any difference, including a
+perfbench workload missing from the run, fails (exit 1) and names the
+field.  A legitimate trajectory change updates the expected file in
+the same commit.
 
-Additional records can be guarded with repeatable ``--guard``
-options of the form ``record.field`` or ``record.field:tolerance``::
+Wall times are not guarded across hosts for the workloads perfbench
+measures: the same commit's ``fleet-cold`` ``sched_p50_ms`` spread
+wider than a 25 % bound between runs on one shared 2-CPU host, so a
+wall-time guard can neither catch a trajectory change nor stay quiet
+without one.
+
+**Bench wall times.**  Without ``--expected`` the two files are the
+committed ``BENCH_scheduler.json`` and a freshly generated one; a
+record field guarded with the repeatable ``--guard
+record.field[:tolerance]`` option fails when it grew by more than its
+tolerance (``--max-regression``, default 25 %)::
 
     python benchmarks/check_regression.py baseline.json current.json \
-        --guard fleet_scale_full_pass.total_s:0.25 \
         --guard telemetry_disabled_mid_pass.total_s:0.05
 
 A guard whose record is missing from the *baseline* is skipped with a
 note (the migration path for freshly added benches); a record missing
 from the *current* file fails, because the bench that produces it
-stopped reporting.
+stopped reporting.  Both files must declare the schema-2 layout
+(``{"schema": 2, "records": {...}}``).
 
-Both files must declare the schema-2 layout (``{"schema": 2,
-"records": {...}}``); anything else fails fast rather than comparing
-incomparable numbers.
-
-Schema-2 context fields: alongside the timings, records may carry
-search-configuration context — ``kernel``.  Sharded records add
-``pods`` (resolved pod count; the job splitter is fixed, so no policy
-field), ``pod_solve_ms_max`` (the slowest single pod — the critical
-path a pod-per-CPU pool pays), ``pod_solve_ms_sum`` (the
-serial-equivalent pod cost), ``shard_bound_ratio``
-(makespan over the pod-aggregated LP floor; the certified quality of
-the sharded schedule, always >= 1), ``solve_critical_path_s`` (the
-span tracer's critical path through the sharded solve — split, pod
-solves, rebalance, assemble, LP certificate — which must explain
->= 95 % of ``solve_s``), and ``solve_overhead_s`` (the unspanned
-residual of ``solve_s``; tracer bookkeeping plus scheduler
-entry/exit).  The ``trace_overhead`` record (see
-``test_bench_trace.py``) carries ``plain_s``/``traced_s`` interleaved
-medians and ``overhead_fraction`` — guard ``traced_s``, never the
-fraction (it is a ratio of two noisy numbers).  The file-level ``cpu_count`` is
-affinity/cgroup-aware (see ``repro.core.capacity.available_cpus``)
-with the nominal machine count in ``cpu_count_nominal``.  Context
-fields are for interpreting timings across machines — never guard
-them: a ratio like utilisation going *down* is not a slowdown, and
-guards are one-sided.  ``shard_bound_ratio`` is the exception that
-proves the rule: it *is* guarded (one-sided, higher = worse quality)
-on the 4000×20000 record so a splitter regression cannot hide behind
-a wall-time win.
+Records may carry context fields for interpreting timings across
+machines — ``kernel``; sharded records add ``pods``,
+``pod_solve_ms_max`` (the slowest pod), ``pod_solve_ms_sum``,
+``shard_bound_ratio`` (makespan over the pod-aggregated LP floor,
+always >= 1), ``solve_critical_path_s`` (the span tracer's critical
+path, which must explain >= 95 % of ``solve_s``) and
+``solve_overhead_s``.  The file-level ``cpu_count`` is
+affinity/cgroup-aware (see ``repro.core.capacity.available_cpus``).
+Guards are one-sided, so guard only fields where higher is worse:
+``shard_bound_ratio`` is guarded on the 4000×20000 record so a
+splitter regression cannot hide behind a wall-time win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 EXPECTED_SCHEMA = 2
 
-DEFAULT_GUARDS = ("fleet_scale_full_pass.total_s",)
+#: Relative tolerance for float counters (HiGHS noise in the LP bound).
+FLOAT_RTOL = 1e-6
 
 
 def load_records(path: Path) -> dict:
@@ -149,10 +151,91 @@ def check_guard(
     return True
 
 
+def load_run(path: Path) -> tuple[str, dict]:
+    """``(kind, fields)`` of a perfbench log or a campaign report."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read run output: {exc}")
+    try:
+        report = json.loads(text)
+    except ValueError:
+        # A perfbench log: a ``context:`` line, then the result line.
+        lines = text.splitlines()
+        try:
+            context = json.loads(
+                next(x for x in lines if x.startswith("context: "))
+                .removeprefix("context: ")
+            )
+            metrics = json.loads(lines[-1])["metrics"]
+        except (StopIteration, ValueError, KeyError, IndexError) as exc:
+            raise SystemExit(f"{path}: not a perfbench log or report: {exc}")
+        fields = dict(context)
+        fields.update((name, m["value"]) for name, m in metrics.items())
+        return "perfbench", fields
+    kind = report.get("mode") or (
+        "tournament" if "policies" in report else "fuzz"
+    )
+    return kind, report
+
+
+def compare_exact(expected, actual, path: str = "") -> list[str]:
+    """Every leaf of ``expected`` must be in ``actual`` and equal to it."""
+    if isinstance(expected, dict):
+        problems = []
+        for key, want in expected.items():
+            label = f"{path}.{key}" if path else key
+            if not isinstance(actual, dict) or key not in actual:
+                problems.append(f"{label}: missing from the run")
+            else:
+                problems += compare_exact(want, actual[key], label)
+        return problems
+    if isinstance(expected, float) and isinstance(actual, (int, float)):
+        same = math.isclose(actual, expected, rel_tol=FLOAT_RTOL)
+    else:
+        same = actual == expected
+    return [] if same else [f"{path}: expected {expected!r}, got {actual!r}"]
+
+
+def check_expected(expected_path: Path, run_paths: list[Path]) -> bool:
+    """Compare run outputs with the expected values of their kinds."""
+    expected = json.loads(expected_path.read_text())
+    runs: dict = {}
+    for path in run_paths:
+        kind, fields = load_run(path)
+        if kind == "perfbench":
+            # The untraced and traced logs of a workload add up.
+            workloads = runs.setdefault(kind, {})
+            workloads.setdefault(fields["workload"], {}).update(fields)
+        else:
+            runs[kind] = fields
+    problems = [
+        f"{kind}: no expected values" for kind in runs if kind not in expected
+    ]
+    problems += compare_exact(
+        {kind: expected[kind] for kind in runs if kind in expected}, runs
+    )
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    verdict = "MISMATCH" if problems else "OK"
+    print(f"exact counters ({', '.join(sorted(runs))}): {verdict}")
+    return not problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", type=Path, help="committed BENCH json")
-    parser.add_argument("current", type=Path, help="freshly generated json")
+    parser.add_argument(
+        "files",
+        nargs="+",
+        type=Path,
+        help="baseline and current BENCH json; with --expected, the run "
+        "outputs to check",
+    )
+    parser.add_argument(
+        "--expected",
+        type=Path,
+        help="expected-counters json: check the run outputs exactly",
+    )
     parser.add_argument(
         "--max-regression",
         type=float,
@@ -167,13 +250,16 @@ def main(argv: list[str] | None = None) -> int:
         "without an explicit tolerance, --max-regression applies",
     )
     args = parser.parse_args(argv)
+    if args.expected is not None:
+        return 0 if check_expected(args.expected, args.files) else 1
+    if len(args.files) != 2:
+        parser.error("expected two files: baseline.json current.json")
 
-    baseline_records = load_records(args.baseline)
-    current_records = load_records(args.current)
+    baseline_records = load_records(args.files[0])
+    current_records = load_records(args.files[1])
 
-    guard_texts = list(DEFAULT_GUARDS) + list(args.guard or ())
     ok = True
-    for text in guard_texts:
+    for text in args.guard or ():
         record, field, tolerance = parse_guard(text, args.max_regression)
         ok &= check_guard(
             baseline_records, current_records, record, field, tolerance

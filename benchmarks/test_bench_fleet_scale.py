@@ -1,28 +1,18 @@
-"""Fleet-scale scheduler benchmarks (1 000 phones × 5 000 jobs).
+"""Mid-scale speedup of the optimised scheduler over the reference.
 
-The paper's testbed is 18 phones; the ROADMAP's north star is an
-enterprise fleet.  These benches measure the full scheduling pass —
-instance build, capacity bounds, bisection, packing — at a scale three
-orders of magnitude past the paper, and pin the hot-path overhaul's
-speedup against the frozen pre-optimisation reference
-(:mod:`repro.core._reference`).
+At 72 phones × 600 jobs the reference's O(P·J²) bound computation and
+O(items × bins) packing dominate, yet it still finishes; both paths
+run on the same instance, must produce the same schedule, and the
+speedup of the optimised path over the frozen pre-optimisation
+reference (:mod:`repro.core._reference`) is recorded as
+``mid_scale_full_pass`` in ``BENCH_scheduler.json`` (acceptance floor:
+5×).
 
-Two scales are used deliberately:
-
-* **mid scale** (72 phones × 600 jobs) — large enough that the
-  reference's O(P·J²) bound computation and O(items × bins) packing
-  dominate, small enough that it still finishes; both paths run here
-  and the speedup ratio is recorded (acceptance floor: 5×);
-* **fleet scale** (1 000 phones × 5 000 jobs) — the reference would
-  take hours (its bounds alone are ~2.5 × 10¹⁰ operations), so only
-  the optimised path runs; its absolute wall time is the tracked
-  trajectory number.
-
-Headline numbers land in ``BENCH_scheduler.json`` via the
-``record_scheduler_bench`` fixture.  The fleet-scale pass runs *first*
-in the session: it is the tracked trajectory number, and running it
-before the reference search's seconds of hot scalar Python keeps
-single-core thermal drift out of the recorded figure.
+Fleet-scale passes are measured by ``perfbench/`` (``fleet-cold``,
+``fleet-sharded``), whose search counters and schedule digests CI
+checks exactly against ``benchmarks/expected_counters.json``.
+``_fleet_instance`` (the paper testbed replicated to any size) is
+shared with the telemetry and sharded benches.
 """
 
 import dataclasses
@@ -71,49 +61,6 @@ def _fleet_instance(n_phones: int, n_jobs: int) -> SchedulingInstance:
     return SchedulingInstance.build(jobs, tuple(phones), b, predictor)
 
 
-def test_bench_fleet_scale_full_pass(record_scheduler_bench):
-    """1 000 phones × 5 000 jobs through the whole optimised path."""
-    started = time.perf_counter()
-    instance = _fleet_instance(n_phones=1000, n_jobs=5000)
-    build_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    lower, upper = instance.capacity_bounds()
-    bounds_s = time.perf_counter() - started
-    assert 0.0 < lower <= upper
-
-    started = time.perf_counter()
-    result = CapacitySearch().run(instance)
-    search_s = time.perf_counter() - started
-
-    result.schedule.validate(instance)
-    assert result.kernel == "numpy", "auto kernel should pick numpy here"
-    assert result.shortcircuit_skips > 0, (
-        "certificates never fired at fleet scale — the dead zone is back"
-    )
-    record_scheduler_bench(
-        "fleet_scale_full_pass",
-        phones=len(instance.phones),
-        jobs=len(instance.jobs),
-        build_s=round(build_s, 2),
-        bounds_s=round(bounds_s, 2),
-        search_s=round(search_s, 2),
-        total_s=round(build_s + bounds_s + search_s, 2),
-        capacity_ms=round(result.capacity_ms, 1),
-        packer_passes=result.packer_passes,
-        bisection_steps=result.bisection_steps,
-        shortcircuit_skips=result.shortcircuit_skips,
-        kernel=result.kernel,
-    )
-    print(
-        f"\nfleet scale (1000x5000): build {build_s:.1f}s, "
-        f"bounds {bounds_s:.1f}s, search {search_s:.1f}s "
-        f"({result.packer_passes} packs, "
-        f"{result.shortcircuit_skips} certificate skips, "
-        f"kernel={result.kernel})"
-    )
-
-
 def test_bench_mid_scale_speedup_vs_reference(record_scheduler_bench):
     """Optimised vs frozen reference, same instance, same schedule."""
     instance = _fleet_instance(n_phones=72, n_jobs=600)
@@ -149,54 +96,4 @@ def test_bench_mid_scale_speedup_vs_reference(record_scheduler_bench):
     )
     assert speedup >= MIN_SPEEDUP, (
         f"full-pass speedup {speedup:.1f}x below the {MIN_SPEEDUP:.0f}x floor"
-    )
-
-
-def test_bench_warm_start_rescheduling(record_scheduler_bench):
-    """Warm-started rescheduling at mid scale: fewer packs, same bytes."""
-    instance = _fleet_instance(n_phones=72, n_jobs=600)
-    # A rescheduling instant: a tail of the workload on the same fleet.
-    tail_jobs = instance.jobs[: len(instance.jobs) // 4]
-    tail = SchedulingInstance(
-        jobs=tail_jobs,
-        phones=instance.phones,
-        b_ms_per_kb=instance.b_ms_per_kb,
-        c_ms_per_kb={
-            (phone.phone_id, job.job_id): instance.c(
-                phone.phone_id, job.job_id
-            )
-            for phone in instance.phones
-            for job in tail_jobs
-        },
-    )
-    search = CapacitySearch()
-
-    started = time.perf_counter()
-    cold = search.run(tail)
-    cold_s = time.perf_counter() - started
-
-    # The next scheduling instant re-plans the same residual workload
-    # seeded with the previous round's converged capacity — exactly what
-    # ``CwcScheduler(warm_start=True)`` feeds forward.  (A hint from the
-    # *full* 600-job instance would land above the feasibility
-    # certificate's threshold and save nothing the certificate doesn't.)
-    started = time.perf_counter()
-    warm = search.run(tail, warm_hint_ms=cold.capacity_ms)
-    warm_s = time.perf_counter() - started
-
-    assert schedule_to_dict(warm.schedule) == schedule_to_dict(cold.schedule)
-    assert warm.packer_passes < cold.packer_passes
-    record_scheduler_bench(
-        "warm_start_rescheduling",
-        phones=len(tail.phones),
-        jobs=len(tail.jobs),
-        cold_s=round(cold_s, 3),
-        warm_s=round(warm_s, 3),
-        cold_packs=cold.packer_passes,
-        warm_packs=warm.packer_passes,
-        assumed_feasible=warm.assumed_feasible,
-    )
-    print(
-        f"\nwarm start (72x150 reschedule): cold {cold.packer_passes} packs "
-        f"{cold_s:.2f}s, warm {warm.packer_passes} packs {warm_s:.2f}s"
     )

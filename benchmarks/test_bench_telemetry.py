@@ -13,9 +13,9 @@ every existing caller) stays the plain scheduler:
 * the enabled path must produce a byte-identical schedule (telemetry
   observes, never steers), with its overhead recorded for context.
 
-The packers keep no counters of their own, so a pack carries no
-telemetry cost at all: the capacity search times a pack for the
-``pack_wall_ms`` histogram only when telemetry is enabled.
+The packers keep no counters or clocks of their own, so a pack carries
+no telemetry cost at all: pack durations live on the tracer's ``pack``
+span, recorded only when tracing is on.
 """
 
 import time

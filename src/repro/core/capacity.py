@@ -96,7 +96,6 @@ summary all read them from it.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -605,28 +604,20 @@ class CapacitySearch:
             """Real-pack verdict for ``cap``."""
             nonlocal packs
             packs += 1
-            if not tel.enabled:
-                if defer and not collect:
-                    attempt = packer.pack(cap, collect=False)
-                else:
-                    attempt = packer.pack(cap)
-                return attempt.feasible, attempt
             with maybe_span(
                 tracer, "pack", category="capacity", capacity_ms=cap
             ) as pack_handle:
-                started = time.perf_counter()
                 if defer and not collect:
                     attempt = packer.pack(cap, collect=False)
                 else:
                     attempt = packer.pack(cap)
-                wall_ms = (time.perf_counter() - started) * 1000.0
                 if pack_handle is not None:
                     pack_handle.set_attr("feasible", attempt.feasible)
-            tel.inc(
-                "capacity_probes_total",
-                outcome="feasible" if attempt.feasible else "infeasible",
-            )
-            tel.observe("pack_wall_ms", wall_ms, kernel=kernel)
+            if tel.enabled:
+                tel.inc(
+                    "capacity_probes_total",
+                    outcome="feasible" if attempt.feasible else "infeasible",
+                )
             return attempt.feasible, attempt
 
         # -- warm hint verification ----------------------------------------

@@ -20,7 +20,6 @@ packs at rescheduling instants.
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import NULL_TELEMETRY
@@ -112,7 +111,6 @@ class CwcScheduler:
         hint = self._last_capacity_ms if self._warm_start else None
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
-        started = time.perf_counter()
         with maybe_span(
             tracer,
             "schedule",
@@ -125,8 +123,6 @@ class CwcScheduler:
         self._last_result = result
         self._last_capacity_ms = result.capacity_ms
         if tel.enabled:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
             tel.inc("schedule_items_total", float(len(instance.jobs)))
             tel.inc("schedule_bins_total", float(len(instance.phones)))
             tel.set_gauge(

@@ -269,7 +269,6 @@ class ShardedScheduler:
     ) -> Schedule:
         tel = self._tel
         tracer = tel.tracer if tel.enabled else None
-        started = time.perf_counter()
         with maybe_span(
             tracer,
             "sharded_schedule",
@@ -320,12 +319,6 @@ class ShardedScheduler:
                     "capacity_ms",
                     max(report.search.capacity_ms for report in reports),
                 )
-            # wall_ms is the scheduling work proper; the result
-            # bookkeeping below (dominated by capacity_bounds at fleet
-            # scale) stays outside it but inside the root span so the
-            # trace decomposition accounts for the whole schedule()
-            # call.
-            wall_ms = (time.perf_counter() - started) * 1000.0
             with maybe_span(tracer, "finish_round", category="pod"):
                 result = self._finish_round(
                     instance,
@@ -336,7 +329,6 @@ class ShardedScheduler:
                     lp_floor_ms,
                     moves,
                     fallbacks,
-                    wall_ms,
                 )
         self._last_result = result
         self._last_pod_capacities = {
@@ -522,7 +514,6 @@ class ShardedScheduler:
         lp_floor_ms,
         moves,
         fallbacks,
-        wall_ms,
     ) -> ShardedSearchResult:
         searches = [report.search for report in reports]
         capacity = max(search.capacity_ms for search in searches)
@@ -550,7 +541,6 @@ class ShardedScheduler:
             tel.set_gauge("shard_bound_ratio", ratio)
             tel.set_gauge("shard_pods", float(n_pods))
             tel.inc("shard_rebalance_moves_total", float(moves))
-            tel.observe("schedule_wall_ms", wall_ms, scheduler=self.name)
         bounds = instance.capacity_bounds()
         return ShardedSearchResult(
             schedule=schedule,

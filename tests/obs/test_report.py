@@ -214,11 +214,15 @@ class TestZeroOverheadEquivalence:
             n_breakable=12, n_atomic=6, n_phones=16, seed=99
         )
         plain = CwcScheduler().schedule(instance)
-        instrumented = CwcScheduler(
-            telemetry=Telemetry.create(run_id="x")
-        ).schedule(instance)
+        untraced = Telemetry.create(run_id="x")
+        assert untraced.tracer is None, "tracing must stay opt-in"
+        instrumented = CwcScheduler(telemetry=untraced).schedule(instance)
+        traced_tel = Telemetry.create(run_id="t", tracing=True)
+        traced = CwcScheduler(telemetry=traced_tel).schedule(instance)
+        assert traced_tel.tracer.spans, "the traced pass recorded no spans"
         defaulted = CwcScheduler(telemetry=None).schedule(instance)
         assert schedule_to_dict(plain) == schedule_to_dict(instrumented)
+        assert schedule_to_dict(plain) == schedule_to_dict(traced)
         assert schedule_to_dict(plain) == schedule_to_dict(defaulted)
 
     def test_sim_results_identical(self):
